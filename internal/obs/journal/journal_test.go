@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -307,8 +308,8 @@ func TestCompletedKeys(t *testing.T) {
 		{Type: SpecDone, Key: "b", StoreKey: "b|n=1", Stored: true},
 		{Type: SpecDone, Key: "a", StoreKey: "a|n=1", Stored: true},
 		{Type: SpecDone, Key: "a", StoreKey: "a|n=1", Stored: true}, // dup
-		{Type: SpecDone, Key: "c", Stored: false},                  // not persisted
-		{Type: SpecDone, Key: "d"},                                 // no store attached
+		{Type: SpecDone, Key: "c", Stored: false},                   // not persisted
+		{Type: SpecDone, Key: "d"},                                  // no store attached
 	}
 	got := CompletedKeys(events, true)
 	if len(got) != 2 || got[0] != "a|n=1" || got[1] != "b|n=1" {
@@ -317,5 +318,55 @@ func TestCompletedKeys(t *testing.T) {
 	all := CompletedKeys(events, false)
 	if len(all) != 4 {
 		t.Fatalf("all keys = %v", all)
+	}
+}
+
+// TestEmitFullBusSlowSubscriber is the full-bus regression: producers
+// outrun a slow subscriber until the bus is full and Emit waits on it.
+// The writer must keep draining — it may not need the lock a waiting Emit
+// holds — so both producers finish and the trailer counts every event.
+func TestEmitFullBusSlowSubscriber(t *testing.T) {
+	const producers, perProducer = 2, 10 * busDepth
+	j := New("test")
+	var closeEv Event
+	seen := 0
+	j.Subscribe(func(ev Event) {
+		seen++
+		if seen%16 == 0 {
+			time.Sleep(time.Microsecond)
+		}
+		if ev.Type == JournalClose {
+			closeEv = ev
+		}
+	})
+	finished := make(chan struct{})
+	go func() {
+		var wg sync.WaitGroup
+		for p := 0; p < producers; p++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < perProducer; i++ {
+					j.Emit(Event{Type: SpecDone, Key: "k", Status: "ok"})
+				}
+			}()
+		}
+		wg.Wait()
+		if err := j.Close(); err != nil {
+			t.Error(err)
+		}
+		close(finished)
+	}()
+	select {
+	case <-finished:
+	case <-time.After(30 * time.Second):
+		t.Fatal("Emit deadlocked on a full bus")
+	}
+	want := uint64(1 + producers*perProducer) // journal_open + every Emit
+	if closeEv.Type != JournalClose || closeEv.Events != want {
+		t.Fatalf("trailer = %+v, want journal_close counting %d events", closeEv, want)
+	}
+	if j.Events() != want+1 {
+		t.Fatalf("Events() = %d, want %d", j.Events(), want+1)
 	}
 }

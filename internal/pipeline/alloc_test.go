@@ -3,7 +3,9 @@ package pipeline
 import (
 	"testing"
 
+	"cfd/internal/config"
 	"cfd/internal/mem"
+	"cfd/internal/prog"
 )
 
 // TestPipelineSteadyStateZeroAllocs is the hot-loop allocation ceiling:
@@ -39,5 +41,25 @@ func TestPipelineSteadyStateZeroAllocs(t *testing.T) {
 	})
 	if got != 0 {
 		t.Errorf("steady-state Cycle() allocates: %g allocs per 100 cycles, want 0", got)
+	}
+}
+
+// TestNewAllocCeiling bounds the allocations of building a core. Every
+// table — cache levels, BTB, predictor, rob ring, wakeup lists — is one
+// backing array, so the count does not grow with cache sets or window
+// size; a table that goes back to one slice per set or per register
+// multiplies it past the ceiling.
+func TestNewAllocCeiling(t *testing.T) {
+	const ceiling = 64
+	p := prog.NewBuilder().Halt().MustBuild()
+	for _, cfg := range []config.Core{config.SandyBridge(), config.Scaled(640)} {
+		got := testing.AllocsPerRun(10, func() {
+			if _, err := New(cfg, p, nil); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got > ceiling {
+			t.Errorf("%s: New allocates %g times, ceiling %d", cfg.Name, got, ceiling)
+		}
 	}
 }

@@ -12,7 +12,7 @@ import (
 // stores raw (pc, inst) pairs so the hot retire path never allocates;
 // rendering happens only when a snapshot is taken.
 type retRing struct {
-	buf  [fault.RingDepth]struct {
+	buf [fault.RingDepth]struct {
 		pc uint64
 		in isa.Inst
 	}
@@ -115,6 +115,31 @@ func (c *Core) checkInvariants() error {
 	case c.sqHead > c.sqTail || int(c.sqTail-c.sqHead) > c.cfg.SQSize:
 		return breach("SQ pointers out of order: head %d, tail %d, size %d",
 			c.sqHead, c.sqTail, c.cfg.SQSize)
+	case c.iqLen < 0 || c.iqLen > c.cfg.IQSize:
+		return breach("IQ occupancy %d outside [0,%d]", c.iqLen, c.cfg.IQSize)
+	}
+	// The IQ counter counts the window's uops still waiting to issue, and
+	// the ready set holds exactly those of them with no pending source.
+	waiting, ready := 0, 0
+	for pos := c.robHead; pos < c.robTail; pos++ {
+		u := c.robAt(pos)
+		inIQ := u.inIQ && !u.issued && !u.squashed
+		if inIQ {
+			waiting++
+		}
+		if c.iq.Ready(pos) {
+			if !inIQ || c.iq.Pending(pos) != 0 {
+				return breach("IQ ready bit at rob %d (seq %d): inIQ %v issued %v squashed %v pending %d",
+					pos, u.seq, u.inIQ, u.issued, u.squashed, c.iq.Pending(pos))
+			}
+			ready++
+		}
+	}
+	if waiting != c.iqLen {
+		return breach("IQ occupancy %d, but %d uops in the window wait to issue", c.iqLen, waiting)
+	}
+	if n := c.iq.ReadyCount(); n != ready {
+		return breach("IQ ready set holds %d bits, %d of them in the window", n, ready)
 	}
 	return nil
 }

@@ -10,6 +10,7 @@ import (
 	"cfd/internal/core"
 	"cfd/internal/fault"
 	"cfd/internal/mem"
+	"cfd/internal/pipeline/iq"
 	"cfd/internal/prog"
 )
 
@@ -159,5 +160,61 @@ func TestPipelineWatchdogContextCancel(t *testing.T) {
 	f, ok := fault.As(err)
 	if !ok || f.Kind != fault.WatchdogExpiry {
 		t.Fatalf("err = %v, want watchdog-expiry fault", err)
+	}
+}
+
+// TestPipelineFaultIQAccounting: the periodic invariant check recounts the
+// issue queue from the window. A corrupted occupancy counter surfaces as a
+// typed invariant breach at the next check, not as a silently narrower or
+// wider IQ.
+func TestPipelineFaultIQAccounting(t *testing.T) {
+	m := mem.New()
+	m.WriteUint64s(0x10000, randomArray(2000, 100, 17))
+	c, err := New(testConfig(), condLoop(0x10000, 0x80000, 2000, 50), m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 500; i++ {
+		if err := c.Cycle(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.checkInvariants(); err != nil {
+		t.Fatalf("clean run breaches an invariant: %v", err)
+	}
+	c.iqLen++
+	err = c.Run(0)
+	f, ok := fault.As(err)
+	if !ok || f.Kind != fault.InvariantBreach {
+		t.Fatalf("err = %v, want invariant-breach fault", err)
+	}
+	if !strings.Contains(f.Error(), "IQ occupancy") {
+		t.Errorf("breach does not name the IQ occupancy: %v", f)
+	}
+}
+
+// TestPipelineFaultIQStrayReadyBit: a ready bit for a ring slot outside
+// the window is a breach too; select would otherwise issue whatever uop
+// lands in that slot next, sources ready or not.
+func TestPipelineFaultIQStrayReadyBit(t *testing.T) {
+	m := mem.New()
+	m.WriteUint64s(0x10000, randomArray(2000, 100, 17))
+	c, err := New(testConfig(), condLoop(0x10000, 0x80000, 2000, 50), m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 500; i++ {
+		if err := c.Cycle(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.iq.Insert(c.fqTail+1, [iq.Srcs]int32{noReg, noReg, noReg, noReg}, c.prfReady)
+	err = c.checkInvariants()
+	f, ok := fault.As(err)
+	if !ok || f.Kind != fault.InvariantBreach {
+		t.Fatalf("err = %v, want invariant-breach fault", err)
+	}
+	if !strings.Contains(f.Error(), "ready set") {
+		t.Errorf("breach does not name the ready set: %v", f)
 	}
 }

@@ -27,16 +27,20 @@ func (c *Core) fetch() error {
 		// Build the uop in place in the rob-ring slot it will occupy
 		// (copying a uop is a few hundred bytes; one per stage adds up).
 		// fqTail only advances if the fetch sticks, so a stall simply
-		// abandons the slot.
-		u := c.robAt(c.fqTail)
-		*u = uop{
-			seq: c.seq, pc: c.fetchPC, inst: in,
-			readyAt: c.now + c.feDelay, fetchAt: c.now,
-			pdst: noReg, psrc1: noReg, psrc2: noReg, psrc3: noReg,
-			pold: noReg, vqSrcPreg: noReg,
-			bqIdx: -1, tqIdx: -1, vqIdx: -1,
-		}
+		// abandons the slot. Clearing the slot and then setting fields
+		// one by one avoids building a composite literal on the stack
+		// and copying it in. Branch-only state goes to br, the side
+		// array, and only when the instruction is a branch.
+		slot := c.fqTail & c.robMask
+		u := &c.rob[slot]
+		*u = uop{}
+		u.seq, u.pc, u.inst = c.seq, c.fetchPC, in
+		u.readyAt, u.fetchAt = c.now+c.feDelay, c.now
+		u.pdst, u.psrc1, u.psrc2, u.psrc3 = noReg, noReg, noReg, noReg
+		u.pold, u.vqSrcPreg = noReg, noReg
+		u.bqIdx, u.tqIdx, u.vqIdx = -1, -1, -1
 		u.port, u.mulDiv = portFor(in.Op)
+		br := &c.br[slot]
 		next := c.fetchPC + 1
 		redirect := false
 		stall := false
@@ -79,12 +83,12 @@ func (c *Core) fetch() error {
 				u.predTarget = c.fetchPC + 1
 			}
 			u.usedPredictor = true
-			u.hist = c.pred.Snapshot()
+			br.hist = c.pred.Snapshot()
 			c.btbProbe(u, true)
 			next, redirect = u.predTarget, true
 
 		case op == isa.BranchBQ:
-			done, st := c.fetchBranchBQ(u)
+			done, st := c.fetchBranchBQ(u, br)
 			if st {
 				stall = true
 				break
@@ -102,7 +106,7 @@ func (c *Core) fetch() error {
 			}
 			u.actTarget = in.Target(c.fetchPC)
 			u.predTarget = u.actTarget
-			u.hist = c.pred.Snapshot()
+			br.hist = c.pred.Snapshot()
 			c.pred.OnFetchOutcome(c.fetchPC, u.actTaken)
 			if u.actTaken {
 				c.btbProbe(u, true)
@@ -143,13 +147,13 @@ func (c *Core) fetch() error {
 				if e.overflow {
 					c.specTCR = 0
 					u.predTaken, u.actTaken = true, true
-					u.hist = c.pred.Snapshot()
+					br.hist = c.pred.Snapshot()
 					c.pred.OnFetchOutcome(c.fetchPC, true)
 					c.btbProbe(u, true)
 					next, redirect = u.actTarget, true
 				} else {
 					c.specTCR = uint64(e.count)
-					u.hist = c.pred.Snapshot()
+					br.hist = c.pred.Snapshot()
 					c.pred.OnFetchOutcome(c.fetchPC, false)
 					c.btbProbe(u, false)
 				}
@@ -210,7 +214,7 @@ func (c *Core) fetch() error {
 			u.isCond = true
 			u.actTarget = in.Target(c.fetchPC) // filled for convenience; direction at execute
 			u.predTarget = u.actTarget
-			taken := c.predictCond(u)
+			taken := c.predictCond(u, br)
 			u.predTaken = taken
 			c.btbProbe(u, taken)
 			if taken {
@@ -239,31 +243,31 @@ func (c *Core) fetch() error {
 
 // predictCond produces the fetch-time direction for a predictor-predicted
 // conditional branch, consulting the oracle when it covers this PC.
-func (c *Core) predictCond(u *uop) bool {
+func (c *Core) predictCond(u *uop, br *brState) bool {
 	pc := u.pc
 	if c.oracle != nil && (c.perfectBP || c.oracle.Covers(pc)) {
 		if taken, ok := c.oracle.Next(pc); ok {
 			u.usedOracle = true
 			u.resolvedFetch = true
 			u.actTaken = taken
-			u.hist = c.pred.Snapshot()
+			br.hist = c.pred.Snapshot()
 			c.pred.OnFetchOutcome(pc, taken)
 			return taken
 		}
 	}
 	c.Meter.Add(energy.PredictorAccess, 1)
 	u.usedPredictor = true
-	u.lookup = c.pred.Lookup(pc)
-	u.hist = c.pred.Snapshot()
-	c.pred.OnFetchOutcome(pc, u.lookup.Pred)
-	return u.lookup.Pred
+	br.lookup = c.pred.Lookup(pc)
+	br.hist = c.pred.Snapshot()
+	c.pred.OnFetchOutcome(pc, br.lookup.Pred)
+	return br.lookup.Pred
 }
 
 // fetchBranchBQ handles a BranchBQ pop at fetch: non-speculative resolution
 // when the predicate has been pushed, otherwise the configured BQ-miss
 // policy (speculative pop with mandatory checkpoint, or fetch stall).
 // It returns the next fetch PC and whether fetch must stall this cycle.
-func (c *Core) fetchBranchBQ(u *uop) (next uint64, stall bool) {
+func (c *Core) fetchBranchBQ(u *uop, br *brState) (next uint64, stall bool) {
 	u.isCond = true
 	u.actTarget = u.inst.Target(u.pc)
 	u.predTarget = u.actTarget
@@ -271,7 +275,7 @@ func (c *Core) fetchBranchBQ(u *uop) (next uint64, stall bool) {
 		// No in-flight or queued predicate. On a correct path this is
 		// an ordering-rule violation; on a wrong path it is harmless.
 		// Treat it as a BQ miss.
-		return c.bqMiss(u)
+		return c.bqMiss(u, br)
 	}
 	c.Meter.Add(energy.BQAccess, 1)
 	e := c.bq.at(c.bq.specHead)
@@ -282,7 +286,7 @@ func (c *Core) fetchBranchBQ(u *uop) (next uint64, stall bool) {
 		u.predTaken = e.pred
 		u.bqIdx = int64(c.bq.specHead)
 		c.bq.specHead++
-		u.hist = c.pred.Snapshot()
+		br.hist = c.pred.Snapshot()
 		c.pred.OnFetchOutcome(u.pc, e.pred)
 		c.btbProbe(u, e.pred)
 		if e.pred {
@@ -290,10 +294,10 @@ func (c *Core) fetchBranchBQ(u *uop) (next uint64, stall bool) {
 		}
 		return u.pc + 1, false
 	}
-	return c.bqMiss(u)
+	return c.bqMiss(u, br)
 }
 
-func (c *Core) bqMiss(u *uop) (next uint64, stall bool) {
+func (c *Core) bqMiss(u *uop, br *brState) (next uint64, stall bool) {
 	if c.cfg.BQMissPolicy == config.StallFetch {
 		c.Stats.BQMissStalls++
 		c.cycStall = stallBQMiss
@@ -305,9 +309,9 @@ func (c *Core) bqMiss(u *uop) (next uint64, stall bool) {
 	c.Meter.Add(energy.PredictorAccess, 1)
 	u.specPop = true
 	u.usedPredictor = true
-	u.lookup = c.pred.Lookup(u.pc)
-	u.predTaken = u.lookup.Pred
-	u.hist = c.pred.Snapshot()
+	br.lookup = c.pred.Lookup(u.pc)
+	u.predTaken = br.lookup.Pred
+	br.hist = c.pred.Snapshot()
 	c.pred.OnFetchOutcome(u.pc, u.predTaken)
 	if c.bq.specHead < c.bq.specTail {
 		e := c.bq.at(c.bq.specHead)
@@ -339,4 +343,3 @@ func (c *Core) btbProbe(u *uop, taken bool) {
 		c.btb.Insert(u.pc, u.predTarget)
 	}
 }
-

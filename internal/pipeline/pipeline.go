@@ -31,6 +31,7 @@ import (
 	"cfd/internal/isa"
 	"cfd/internal/mem"
 	"cfd/internal/obs"
+	"cfd/internal/pipeline/iq"
 	"cfd/internal/predictor"
 	"cfd/internal/prog"
 	"cfd/internal/stats"
@@ -64,8 +65,6 @@ type uop struct {
 	usedPredictor bool
 	usedOracle    bool
 	specPop       bool // BranchBQ that missed and speculated
-	lookup        predictor.Lookup
-	hist          predictor.HistSnap
 	hasCkpt       bool
 	mispredict    bool
 	retireRecover bool // recover at retire (no checkpoint)
@@ -77,10 +76,10 @@ type uop struct {
 	vqSrcPreg                 int32
 
 	// Undo records for walk-based recovery.
-	rasOldTop int
-	oldTCR    uint64
-	oldMark   uint64
-	oldMarkOK bool
+	rasOldTop  int
+	oldTCR     uint64
+	oldMark    uint64
+	oldMarkOK  bool
 	bqIdx      int64 // PushBQ: allocated tail; BranchBQ: popped head
 	tqIdx      int64
 	vqIdx      int64
@@ -104,8 +103,8 @@ type uop struct {
 	squashed bool
 	isHalt   bool
 
-	// Issue-port routing, decided once at fetch so the per-cycle IQ scan
-	// does not re-derive it from the opcode.
+	// Issue-port routing, decided once at fetch so select does not
+	// re-derive it from the opcode.
 	port   port
 	mulDiv bool
 
@@ -114,6 +113,16 @@ type uop struct {
 	renameAt uint64
 	issueAt  uint64
 	doneAt   uint64
+}
+
+// brState is the branch-only predictor state of the uop in the same
+// rob-ring slot: the fetch-time lookup that trains the predictor at retire
+// and the history snapshot that recovery restores. Only predicted and
+// queue-resolved branches write it, so it lives in a side array instead of
+// every uop, and fetch does not clear it for the other instructions.
+type brState struct {
+	lookup predictor.Lookup
+	hist   predictor.HistSnap
 }
 
 // bqEntryHW is a physical BQ entry (paper Fig 9): the software-visible
@@ -303,11 +312,11 @@ type Core struct {
 	// (copying a several-hundred-byte uop per stage dominated the hot
 	// loop). The ring is sized for ROBSize plus the front-end capacity.
 	rob     []uop
+	br      []brState // indexed like rob
 	robMask uint64
 	robHead uint64
 	robTail uint64
 	fqTail  uint64
-	iq      []iqEnt // age order
 	sq      []sqEntry
 	sqMask  uint64
 	sqHead  uint64
@@ -321,6 +330,12 @@ type Core struct {
 	// refreshes it each cycle; a store resolving at execute advances it so
 	// same-cycle younger loads see the address, as a live SQ walk would.
 	sqResolvedTo uint64
+
+	// Issue queue. Entries are the renamed, not yet issued uops with
+	// inIQ set; iq holds their wakeup lists and ready set by rob slot, and
+	// iqLen counts them.
+	iq    iq.Queue
+	iqLen int
 
 	usedCkpts int
 
@@ -453,7 +468,8 @@ func New(cfg config.Core, p *prog.Program, m *mem.Memory, opts ...Option) (*Core
 	// The rob ring also hosts the front-end queue (see the Core field
 	// comment), so size it for both occupancies.
 	capFQ := cfg.FetchWidth * (cfg.FrontEndDepth + 1)
-	robCap := nextPow2(cfg.ROBSize + capFQ)
+	// At least one ready-set word: the ring is whole words of it.
+	robCap := max(nextPow2(cfg.ROBSize+capFQ), 64)
 	sqCap := nextPow2(cfg.SQSize)
 	c := &Core{
 		cfg:     cfg,
@@ -468,6 +484,7 @@ func New(cfg config.Core, p *prog.Program, m *mem.Memory, opts ...Option) (*Core
 		tq:      tqHW{size: cfg.TQSize, mask: tqCap - 1, entries: make([]tqEntryHW, tqCap)},
 		vq:      vqRen{size: cfg.VQSize, mask: vqCap - 1, mapping: make([]int32, vqCap)},
 		rob:     make([]uop, robCap),
+		br:      make([]brState, robCap),
 		robMask: robCap - 1,
 		sq:      make([]sqEntry, sqCap),
 		sqMask:  sqCap - 1,
@@ -493,6 +510,7 @@ func New(cfg config.Core, p *prog.Program, m *mem.Memory, opts ...Option) (*Core
 	// Physical register file: logical registers map to pregs 0..31, the
 	// rest are free. preg 0 backs r0 and stays 0.
 	n := cfg.NumPhysRegs
+	c.iq = iq.New(n, robCap)
 	c.prf = make([]uint64, n)
 	c.prfReady = make([]bool, n)
 	c.prfLevel = make([]cache.ServiceLevel, n)
@@ -699,6 +717,9 @@ func (c *Core) runCtx(ctx context.Context, maxRetired uint64) error {
 	// occupancy sampler all need to see every cycle individually.
 	skip := !c.idleSkipOff && c.obsv == nil && c.trace == nil && !c.cfg.Cache.SampleMSHRs
 	c.lastRetireCycle = c.now
+	// Invariants are checked once per 1024-cycle block; an idle skip may
+	// jump the clock across a block boundary, so track the next one.
+	nextCheck := (c.now | 1023) + 1
 	for !c.done {
 		if maxRetired != 0 && c.Stats.Retired >= maxRetired {
 			return ErrLimit
@@ -719,10 +740,11 @@ func (c *Core) runCtx(ctx context.Context, maxRetired uint64) error {
 				fmt.Errorf("%w at cycle %d (pc %d)", ErrDeadlock, c.now, c.fetchPC),
 				c.snapshot())
 		}
-		if c.now&1023 == 0 {
+		if c.now >= nextCheck {
 			if err := c.checkInvariants(); err != nil {
 				return err
 			}
+			nextCheck = (c.now | 1023) + 1
 		}
 	}
 	return nil

@@ -36,22 +36,16 @@ func (c *Core) recoverAfter(anchorSeq, newPC uint64) {
 		}
 		c.undoFetchSide(u)
 		c.undoRenameSide(u)
+		if u.inIQ && !u.issued {
+			c.iq.Squash(c.robTail - 1)
+			c.iqLen--
+		}
 		u.squashed = true
 		c.traceRecord(u)
 		c.Stats.SquashedUops++
 		c.robTail--
 		c.fqTail = c.robTail
 	}
-
-	// Drop squashed issue-queue entries (they are all younger than the
-	// anchor or they would have survived the walk).
-	kept := c.iq[:0]
-	for _, e := range c.iq {
-		if e.pos < c.robTail && e.seq <= anchorSeq {
-			kept = append(kept, e)
-		}
-	}
-	c.iq = kept
 
 	c.pred.OnSquash()
 	c.fetchPC = newPC

@@ -3,6 +3,7 @@ package pipeline
 import (
 	"cfd/internal/energy"
 	"cfd/internal/isa"
+	"cfd/internal/pipeline/iq"
 )
 
 // needsIQ reports whether the op occupies an issue-queue entry and
@@ -43,7 +44,7 @@ func (c *Core) rename() error {
 		}
 		op := u.inst.Op
 		inIQ := needsIQ(u)
-		if inIQ && len(c.iq) >= c.cfg.IQSize {
+		if inIQ && c.iqLen >= c.cfg.IQSize {
 			break
 		}
 		isLoad := op.IsLoad() // includes PREF
@@ -160,12 +161,10 @@ func (c *Core) rename() error {
 		pos := c.robTail
 		c.robTail++
 		if inIQ {
-			c.iq = append(c.iq, iqEnt{
-				pos: pos, seq: u.seq,
-				psrc1: u.psrc1, psrc2: u.psrc2, psrc3: u.psrc3,
-				vqSrc: u.vqSrcPreg,
-				port:  u.port, mulDiv: u.mulDiv, isLoad: u.isLoad,
-			})
+			// Wait on the sources still in flight; complete() wakes
+			// the entry into the ready set when the last one lands.
+			c.iq.Insert(pos, [iq.Srcs]int32{u.psrc1, u.psrc2, u.psrc3, u.vqSrcPreg}, c.prfReady)
+			c.iqLen++
 			c.Meter.Add(energy.IQWrite, 1)
 		}
 		c.Meter.Add(energy.Rename, 1)

@@ -28,7 +28,7 @@ func (c *Core) retire() error {
 				newPC = u.pc + 1
 			}
 			c.Stats.RetireRecoveries++
-			c.pred.Restore(u.hist)
+			c.pred.Restore(c.br[c.robHead&c.robMask].hist)
 			if u.isCond {
 				c.pred.OnFetchOutcome(u.pc, u.actTaken)
 			}
@@ -113,7 +113,7 @@ func (c *Core) retire() error {
 				bs.Taken++
 			}
 			if u.usedPredictor {
-				c.pred.Train(u.pc, u.lookup, u.actTaken)
+				c.pred.Train(u.pc, c.br[c.robHead&c.robMask].lookup, u.actTaken)
 				c.conf.Update(u.pc, u.actTaken == u.predTaken)
 			}
 			if u.mispredict {
