@@ -66,8 +66,14 @@ func TestSweepContainment(t *testing.T) {
 			specs = append(specs, RunSpec{Workload: s.Name, Variant: v, Config: cfg})
 		}
 	}
-	if len(corrupt) != 2 {
-		t.Fatalf("expected 2 corrupt specs in the matrix, got %d", len(corrupt))
+	// A second spec of the panicking builder, on another config, shares
+	// its memoized build and must report the same typed fault.
+	gshare := cfg
+	gshare.Name, gshare.Predictor = "gshare", config.PredGshare
+	corrupt[len(specs)] = true
+	specs = append(specs, RunSpec{Workload: crash, Variant: workload.Base, Config: gshare})
+	if len(corrupt) != 3 {
+		t.Fatalf("expected 3 corrupt specs in the matrix, got %d", len(corrupt))
 	}
 
 	r := NewRunner(0.02)
@@ -90,8 +96,8 @@ func TestSweepContainment(t *testing.T) {
 	}
 
 	fails := r.Failures()
-	if len(fails) != 2 {
-		t.Fatalf("Failures() returned %d entries, want 2: %v", len(fails), fails)
+	if len(fails) != 3 {
+		t.Fatalf("Failures() returned %d entries, want 3: %v", len(fails), fails)
 	}
 	kinds := map[string]fault.Kind{}
 	for _, fl := range fails {
@@ -100,9 +106,9 @@ func TestSweepContainment(t *testing.T) {
 			t.Fatalf("failure %v is not a typed fault", fl.Err)
 		}
 		kinds[fl.Spec.Workload] = f.Kind
-	}
-	if kinds[crash] != fault.RuntimePanic {
-		t.Errorf("builder panic recorded as %v, want runtime-panic", kinds[crash])
+		if fl.Spec.Workload == crash && f.Kind != fault.RuntimePanic {
+			t.Errorf("builder panic on %s recorded as %v, want runtime-panic", fl.Spec.Config.Name, f.Kind)
+		}
 	}
 	if kinds[violator] != fault.QueueViolation {
 		t.Errorf("BQ violation recorded as %v, want queue-violation", kinds[violator])

@@ -104,6 +104,10 @@ type Runner struct {
 
 	mu    sync.Mutex
 	cache map[string]*cacheEntry
+	// builds memoizes program builds and masters holds their initial
+	// memories, one per distinct content per workload and size (build.go).
+	builds  map[buildKey]*built
+	masters map[masterKey][]*mem.Memory
 
 	sweepSeq atomic.Uint64
 
@@ -252,16 +256,15 @@ func (r *Runner) Run(rs RunSpec) (*Result, error) {
 // goroutine's in-flight simulation of the same spec returns early when ctx
 // is done (the simulation itself runs to completion and stays memoized).
 func (r *Runner) RunCtx(ctx context.Context, rs RunSpec) (*Result, error) {
-	res, err, _ := r.runCtx(ctx, rs, 0)
+	res, err, _ := r.runCtx(ctx, rs, rs.key(), 0)
 	return res, err
 }
 
-// runCtx is the memoizing core shared by RunCtx and Sweep. sweep is the
-// journal scope's sequence number (0 outside a journaled sweep); the
-// returned runInfo says how the result materialized, feeding the journal
-// and ProgressEvent.
-func (r *Runner) runCtx(ctx context.Context, rs RunSpec, sweep uint64) (*Result, error, runInfo) {
-	key := rs.key()
+// runCtx is the memoizing core shared by RunCtx and Sweep. key is rs.key(),
+// which the caller computes once per spec; sweep is the journal scope's
+// sequence number (0 outside a journaled sweep); the returned runInfo says
+// how the result materialized, feeding the journal and ProgressEvent.
+func (r *Runner) runCtx(ctx context.Context, rs RunSpec, key string, sweep uint64) (*Result, error, runInfo) {
 	r.lookups.Add(1)
 	r.mu.Lock()
 	if r.cache == nil {
@@ -394,16 +397,15 @@ var (
 	testOnSweepSpecs  func([]RunSpec) // called with every Sweep's spec list before work starts
 )
 
-// simulate performs the actual cycle-level run for rs (no caching). A panic
-// escaping either engine (or a workload builder) is contained here and
-// memoized as a RuntimePanic fault, so one dying run cannot take down a
-// sweep's worker pool.
+// simulate performs the actual cycle-level run for rs (no caching) on the
+// Runner's memoized build of its program. A panic escaping either engine
+// is contained here as a RuntimePanic fault, and one escaping the workload
+// builder is contained the same way by the build memo, so one dying run
+// cannot take down a sweep's worker pool.
 func (r *Runner) simulate(rs RunSpec) (res *Result, err error) {
 	defer func() {
 		if v := recover(); v != nil {
-			f := fault.FromPanic(v, debug.Stack(), fault.Snapshot{Engine: "harness"})
-			res, err = nil, fmt.Errorf("harness: %s/%s on %s: %w",
-				rs.Workload, rs.Variant, rs.Config.Name, f)
+			res, err = nil, runFault(rs, fault.FromPanic(v, debug.Stack(), fault.Snapshot{Engine: "harness"}))
 		}
 	}()
 	if h := testOnSimulate; h != nil {
@@ -413,10 +415,14 @@ func (r *Runner) simulate(rs RunSpec) (res *Result, err error) {
 	if !ok {
 		return nil, fmt.Errorf("harness: unknown workload %q", rs.Workload)
 	}
-	p, m, err := s.Build(rs.Variant, r.workloadN(s))
-	if err != nil {
-		return nil, err
+	b := r.build(s, rs.Variant, r.workloadN(s))
+	if b.panicked != nil {
+		return nil, runFault(rs, b.panicked)
 	}
+	if b.err != nil {
+		return nil, b.err
+	}
+	p := b.prog
 	wd := r.watchdog()
 
 	var opts []pipeline.Option
@@ -439,7 +445,7 @@ func (r *Runner) simulate(rs RunSpec) (res *Result, err error) {
 		if wd != nil {
 			emuOpts = append(emuOpts, emu.WithWatchdog(wd))
 		}
-		em := emu.New(p, m.Clone(), emuOpts...)
+		em := emu.New(p, b.master.Clone(), emuOpts...)
 		if err := em.Run(500_000_000); err != nil {
 			return nil, fmt.Errorf("harness: oracle pre-run %s/%s: %w", rs.Workload, rs.Variant, err)
 		}
@@ -450,7 +456,7 @@ func (r *Runner) simulate(rs RunSpec) (res *Result, err error) {
 	}
 	var init *mem.Memory
 	if r.Verify {
-		init = m.Clone()
+		init = b.master.Clone()
 	}
 	cfg := rs.Config
 	cfg.Cache.SampleMSHRs = rs.SampleMSHR
@@ -459,7 +465,7 @@ func (r *Runner) simulate(rs RunSpec) (res *Result, err error) {
 		obsv = obs.NewObserver(rs.SampleEvery, cfg.BQSize, cfg.VQSize, cfg.TQSize)
 		opts = append(opts, pipeline.WithObserver(obsv))
 	}
-	core, err := pipeline.New(cfg, p, m, opts...)
+	core, err := pipeline.New(cfg, p, b.master.Clone(), opts...)
 	if err != nil {
 		return nil, err
 	}
@@ -492,6 +498,11 @@ func (r *Runner) simulate(rs RunSpec) (res *Result, err error) {
 		Timeseries:    obsv.Timeseries(),
 		Occupancy:     obsv.Occupancy(),
 	}, nil
+}
+
+// runFault wraps a panic contained during rs's run as that spec's error.
+func runFault(rs RunSpec, f *fault.Fault) error {
+	return fmt.Errorf("harness: %s/%s on %s: %w", rs.Workload, rs.Variant, rs.Config.Name, f)
 }
 
 // Experiment regenerates one paper table or figure. Its simulation needs

@@ -62,28 +62,28 @@ func (s *sweepScope) id() uint64 {
 	return s.seq
 }
 
-// submit records a worker picking up one spec.
-func (s *sweepScope) submit(rs RunSpec) {
+// submit records a worker picking up one spec; key is rs.key().
+func (s *sweepScope) submit(rs RunSpec, key string) {
 	if s == nil {
 		return
 	}
 	s.r.Journal.Emit(journal.Event{
-		Type: journal.SpecSubmit, Sweep: s.seq, Key: rs.key(),
+		Type: journal.SpecSubmit, Sweep: s.seq, Key: key,
 		Workload: rs.Workload, Variant: string(rs.Variant), Config: rs.Config.Name,
 	})
 }
 
 // done records one spec's terminal outcome. Context-cancellation errors
 // are not terminal — the spec never completed — so they are skipped; the
-// sweep_finish counts then show the shortfall against total.
-func (s *sweepScope) done(rs RunSpec, res *Result, err error, info runInfo) {
+// sweep_finish counts then show the shortfall against total. key is
+// rs.key().
+func (s *sweepScope) done(rs RunSpec, key string, res *Result, err error, info runInfo) {
 	if s == nil {
 		return
 	}
 	if err != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
 		return
 	}
-	key := rs.key()
 	ev := journal.Event{
 		Type: journal.SpecDone, Sweep: s.seq, Key: key,
 		Workload: rs.Workload, Variant: string(rs.Variant), Config: rs.Config.Name,

@@ -34,11 +34,13 @@ func (r *Runner) Sweep(ctx context.Context, specs []RunSpec) ([]*Result, error) 
 	defer sw.finish()
 	report := r.progressReporter(len(specs))
 	// runOne is the shared per-spec step: journal the submission, run,
-	// journal the terminal outcome, report progress.
+	// journal the terminal outcome, report progress. The spec's key is
+	// computed once here for all three.
 	runOne := func(ctx context.Context, rs RunSpec) (*Result, error) {
-		sw.submit(rs)
-		res, err, info := r.runCtx(ctx, rs, sw.id())
-		sw.done(rs, res, err, info)
+		key := rs.key()
+		sw.submit(rs, key)
+		res, err, info := r.runCtx(ctx, rs, key, sw.id())
+		sw.done(rs, key, res, err, info)
 		report(rs, err, info)
 		return res, err
 	}

@@ -3,7 +3,12 @@
 // (committed state updated at retirement).
 package mem
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"maps"
+	"slices"
+	"sync/atomic"
+)
 
 // PageSize is the granularity of backing allocation.
 const PageSize = 4096
@@ -13,43 +18,90 @@ type page [PageSize]byte
 // Memory is a sparse 64-bit byte-addressable memory. The zero value is not
 // usable; call New. Unwritten bytes read as zero.
 //
-// A Memory is single-writer: the engines own their memories for the length
-// of a run. Reads also update the internal last-page cache, so even
-// read-only sharing across goroutines is not safe.
+// Copies are copy-on-write: Clone shares every page with the original, and
+// the first write to a shared page, on either side, copies that page
+// first. Clone, Equal and Checksum only read the page map, so any number
+// of goroutines may call them at once on a memory that nobody is writing.
+// Loads and stores are single-goroutine: the engines own their memories
+// for the length of a run, and loads update the internal last-page cache.
 type Memory struct {
-	pages map[uint64]*page
+	pages map[uint64]pageRef
+
+	// epoch is the ownership tag of the pages this memory may write in
+	// place. Clone moves it to a fresh value, which revokes ownership of
+	// every page shared so far; a write to a page whose tag differs
+	// copies the page and tags the copy with the current epoch.
+	epoch atomic.Uint64
 
 	// Last-page cache: simulated accesses are heavily page-local, so one
 	// remembered (page number, page) pair turns most lookups into a
 	// compare. lastPage == nil means the cache is empty (never that the
-	// page is absent).
+	// page is absent). lastTag is the cached page's ownership tag: a
+	// store may use the cached page only while lastTag is the current
+	// epoch.
 	lastPN   uint64
 	lastPage *page
+	lastTag  uint64
 }
 
-// New returns an empty memory.
-func New() *Memory { return &Memory{pages: make(map[uint64]*page)} }
+// pageRef is one page-map entry: the page and the epoch of the memory
+// that allocated or copied it.
+type pageRef struct {
+	p   *page
+	tag uint64
+}
 
-func (m *Memory) pageFor(addr uint64, alloc bool) *page {
+// epochs hands out ownership tags. Tags are unique across all memories,
+// so a page is writable in place only by the memory that tagged it, and
+// only until that memory is next cloned.
+var epochs atomic.Uint64
+
+// New returns an empty memory.
+func New() *Memory {
+	m := &Memory{pages: make(map[uint64]pageRef)}
+	m.epoch.Store(epochs.Add(1))
+	return m
+}
+
+// loadPage returns the page holding addr for reading, or nil when the page
+// was never written.
+func (m *Memory) loadPage(addr uint64) *page {
 	pn := addr / PageSize
 	if m.lastPage != nil && m.lastPN == pn {
 		return m.lastPage
 	}
-	p := m.pages[pn]
-	if p == nil {
-		if !alloc {
-			return nil
-		}
-		p = new(page)
-		m.pages[pn] = p
+	r, ok := m.pages[pn]
+	if !ok {
+		return nil
 	}
-	m.lastPN, m.lastPage = pn, p
-	return p
+	m.lastPN, m.lastPage, m.lastTag = pn, r.p, r.tag
+	return r.p
+}
+
+// storePage returns the page holding addr for writing: allocated if
+// absent, and copied first if it is shared with another memory.
+func (m *Memory) storePage(addr uint64) *page {
+	pn := addr / PageSize
+	epoch := m.epoch.Load()
+	if m.lastPage != nil && m.lastPN == pn && m.lastTag == epoch {
+		return m.lastPage
+	}
+	r, ok := m.pages[pn]
+	if !ok || r.tag != epoch {
+		np := new(page)
+		if ok {
+			*np = *r.p
+		}
+		r = pageRef{p: np, tag: epoch}
+		m.pages[pn] = r
+	}
+	m.lastPN, m.lastPage, m.lastTag = pn, r.p, r.tag
+	return r.p
 }
 
 // LoadByte returns the byte at addr.
 func (m *Memory) LoadByte(addr uint64) byte {
-	p := m.pageFor(addr, false)
+	p := m.loadPage(addr)
 	if p == nil {
 		return 0
 	}
@@ -58,7 +110,7 @@ func (m *Memory) LoadByte(addr uint64) byte {
 
 // StoreByte stores b at addr.
 func (m *Memory) StoreByte(addr uint64, b byte) {
-	m.pageFor(addr, true)[addr%PageSize] = b
+	m.storePage(addr)[addr%PageSize] = b
 }
 
 // Read returns size bytes (1, 2, 4, or 8) at addr as a little-endian,
@@ -66,7 +118,7 @@ func (m *Memory) StoreByte(addr uint64, b byte) {
 func (m *Memory) Read(addr uint64, size int) uint64 {
 	off := addr % PageSize
 	if off+uint64(size) <= PageSize {
-		p := m.pageFor(addr, false)
+		p := m.loadPage(addr)
 		if p == nil {
 			return 0
 		}
@@ -94,7 +146,7 @@ func (m *Memory) Read(addr uint64, size int) uint64 {
 func (m *Memory) Write(addr uint64, size int, val uint64) {
 	off := addr % PageSize
 	if off+uint64(size) <= PageSize {
-		p := m.pageFor(addr, true)
+		p := m.storePage(addr)
 		switch size {
 		case 8:
 			binary.LittleEndian.PutUint64(p[off:], val)
@@ -123,7 +175,7 @@ func (m *Memory) LoadBytes(addr uint64, dst []byte) {
 		if n > uint64(len(dst)) {
 			n = uint64(len(dst))
 		}
-		if p := m.pageFor(addr, false); p != nil {
+		if p := m.loadPage(addr); p != nil {
 			copy(dst[:n], p[off:off+n])
 		} else {
 			for i := uint64(0); i < n; i++ {
@@ -143,7 +195,7 @@ func (m *Memory) StoreBytes(addr uint64, src []byte) {
 		if n > uint64(len(src)) {
 			n = uint64(len(src))
 		}
-		copy(m.pageFor(addr, true)[off:off+n], src[:n])
+		copy(m.storePage(addr)[off:off+n], src[:n])
 		src = src[n:]
 		addr += n
 	}
@@ -161,29 +213,30 @@ func (m *Memory) WriteUint64s(addr uint64, vals []uint64) uint64 {
 	return addr
 }
 
-// Clone returns a deep copy of the memory.
+// Clone returns a copy of the memory that shares every page with m until
+// one side writes it. It costs one page-map copy, whatever the memory's
+// size. Clone does not write m's pages or caches, so concurrent Clones of
+// a memory nobody is writing are safe.
 func (m *Memory) Clone() *Memory {
-	c := New()
-	for pn, p := range m.pages {
-		cp := *p
-		c.pages[pn] = &cp
-	}
+	c := &Memory{pages: maps.Clone(m.pages)}
+	c.epoch.Store(epochs.Add(1))
+	m.epoch.Store(epochs.Add(1))
 	return c
 }
 
 // Equal reports whether two memories hold identical contents (treating
-// absent pages as zero-filled).
+// absent pages as zero-filled). Pages the two share are equal without a
+// compare.
 func (m *Memory) Equal(o *Memory) bool {
 	check := func(a, b *Memory) bool {
-		for pn, p := range a.pages {
-			q := b.pages[pn]
-			if q == nil {
-				if *p != (page{}) {
+		for pn, r := range a.pages {
+			q, ok := b.pages[pn]
+			switch {
+			case !ok:
+				if *r.p != (page{}) {
 					return false
 				}
-				continue
-			}
-			if *p != *q {
+			case r.p != q.p && *r.p != *q.p:
 				return false
 			}
 		}
@@ -192,28 +245,22 @@ func (m *Memory) Equal(o *Memory) bool {
 	return check(m, o) && check(o, m)
 }
 
-// Checksum returns an order-independent-free (deterministic, order-defined)
-// FNV-1a hash over all nonzero pages; useful for workload output
+// Checksum returns a deterministic FNV-1a hash over all nonzero pages,
+// taken in ascending page-number order; useful for workload output
 // verification.
 func (m *Memory) Checksum() uint64 {
-	// Hash pages in ascending page-number order for determinism.
-	var pns []uint64
+	pns := make([]uint64, 0, len(m.pages))
 	for pn := range m.pages {
 		pns = append(pns, pn)
 	}
-	// insertion sort (page counts are small)
-	for i := 1; i < len(pns); i++ {
-		for j := i; j > 0 && pns[j] < pns[j-1]; j-- {
-			pns[j], pns[j-1] = pns[j-1], pns[j]
-		}
-	}
+	slices.Sort(pns)
 	const (
 		offset = 14695981039346656037
 		prime  = 1099511628211
 	)
 	h := uint64(offset)
 	for _, pn := range pns {
-		p := m.pages[pn]
+		p := m.pages[pn].p
 		if *p == (page{}) {
 			continue
 		}
