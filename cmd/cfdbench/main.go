@@ -45,10 +45,12 @@
 // process immediately, and even that is safe: the store's atomic write
 // protocol never exposes a torn entry.
 //
-// -metrics prints one stderr line per completed simulation — status, the
-// Runner's cumulative cache hit rate, and an ETA for the current sweep —
-// without touching stdout, which stays a deterministic artifact. The
-// end-of-run cache totals print on stderr regardless.
+// -metrics prints one stderr line per spec_done journal event — the spec,
+// its status, the sweep's progress and cache hit rate, and an ETA from
+// fresh simulations only — without touching stdout, which stays a
+// deterministic artifact. The lines are printed by a subscriber on the
+// journal bus from the same serve.Tracker that -listen serves on /status.
+// The end-of-run cache totals print on stderr regardless.
 //
 // -json - streams the document to stdout; the experiment tables then move
 // to stderr so stdout carries exactly one machine-parseable JSON document,
@@ -98,6 +100,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"flag"
@@ -108,6 +111,7 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"strings"
+	"sync"
 	"syscall"
 	"time"
 
@@ -142,6 +146,9 @@ func main() {
 // run is main with its context, streams, and exit code lifted out so tests
 // can drive the binary end to end and decode what lands on stdout.
 func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
+	// -metrics prints from the journal's writer goroutine, so every
+	// stderr write is serialized with the main goroutine's.
+	stderr = &lockedWriter{w: stderr}
 	fs := flag.NewFlagSet("cfdbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
@@ -277,15 +284,11 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 		}
 		r.Store = st
 	}
-	if *metrics {
-		pp := &progressPrinter{r: r, w: stderr}
-		r.OnProgress = pp.report
-	}
 
-	// Observability wiring: the journal bus exists whenever anything wants
-	// the event stream — a -journal file sink, a -listen /status tracker,
-	// or a -host-sample feed. Everything hangs off the same bus so the
-	// file, the live server, and the samples all see one event order.
+	// Observability wiring: the journal bus always exists, with a file
+	// sink under -journal. Everything hangs off the same bus so the file,
+	// the -metrics lines, the live server, and the host samples all see
+	// one event order.
 	var jr *journal.Journal
 	if *journalPath != "" {
 		j, err := journal.Open(*journalPath, "cfdbench")
@@ -293,20 +296,26 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 			return errorf("%v", err)
 		}
 		jr = j
-	} else if *listenAddr != "" || *hostSample > 0 {
+	} else {
 		jr = journal.New("cfdbench")
 	}
-	if jr != nil {
-		r.Journal = jr
-		defer jr.Close()
-		if r.Store != nil {
-			r.Store.OnQuarantine = func(entry, reason string) {
-				jr.Emit(journal.Event{Type: journal.StoreQuarantine, Entry: entry, Reason: reason})
-			}
-			r.Store.OnRetry = func() {
-				jr.TryEmit(journal.Event{Type: journal.StoreRetry})
-			}
+	r.Journal = jr
+	defer jr.Close()
+	if r.Store != nil {
+		r.Store.OnQuarantine = func(entry, reason string) {
+			jr.Emit(journal.Event{Type: journal.StoreQuarantine, Entry: entry, Reason: reason})
 		}
+		r.Store.OnRetry = func() {
+			jr.TryEmit(journal.Event{Type: journal.StoreRetry})
+		}
+	}
+	var tr *serve.Tracker
+	if *metrics || *listenAddr != "" {
+		tr = serve.NewTracker()
+		jr.Subscribe(tr.Observe)
+	}
+	if *metrics {
+		jr.Subscribe(progressLine(tr, stderr, r.Store != nil))
 	}
 	var sampler *obs.HostSampler
 	var srv *serve.Server
@@ -323,8 +332,6 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 			defer sampler.Stop()
 		}
 		if *listenAddr != "" {
-			tr := serve.NewTracker()
-			jr.Subscribe(tr.Observe)
 			srv = serve.New("cfdbench", reg, tr)
 			srv.Runner = r
 			srv.Journal = jr
@@ -381,7 +388,12 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 		start := time.Now()
 		before := r.Metrics()
 		fmt.Fprintf(tableOut, "### %s — %s\n\n", e.ID, e.Title)
-		if err := r.RunExperiment(e, tableOut); err != nil {
+		// The table is written in one piece, so -metrics lines still
+		// draining from the sweep cannot land inside it on stderr.
+		var table bytes.Buffer
+		err := r.RunExperiment(e, &table)
+		tableOut.Write(table.Bytes())
+		if err != nil {
 			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 				// The drain already happened inside Sweep: every
 				// in-flight simulation completed and flushed before the
@@ -408,6 +420,23 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(tableOut)
 	}
 
+	// Finalize the journal before the end-of-run summary and the export
+	// document, so every -metrics line prints before the summary, the
+	// document's journal section reports the final event count, and the
+	// file on disk is complete (Close is idempotent; the defer is the
+	// early-error backstop). The sampler stops first — no samples after
+	// the trailer.
+	sampler.Stop()
+	if err := jr.Close(); err != nil {
+		fmt.Fprintf(stderr, "cfdbench: journal: %v\n", err)
+	}
+	if n := jr.Dropped(); n > 0 {
+		fmt.Fprintf(stderr, "cfdbench: journal: %d informational events dropped (bus full)\n", n)
+	}
+	if jr.Path() != "" {
+		fmt.Fprintf(stderr, "cfdbench: journal: %d events\n", jr.Events())
+	}
+
 	// End-of-run cache totals: how much work the memoizing Runner saved.
 	tot := r.Metrics()
 	hitRate := 0.0
@@ -424,22 +453,6 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 		}
 		fmt.Fprintf(stderr, "cfdbench: store %s: %d hits, %d misses, %d puts, %d quarantined, %d retries (%s entries on disk)\n",
 			r.Store.Dir(), sm.Hits, sm.Misses, sm.Puts, sm.Quarantines, sm.Retries, entries)
-	}
-
-	// Finalize the journal before the export document is built, so the
-	// document's journal section reports the final event count and the
-	// file on disk is complete (Close is idempotent; the defer is the
-	// early-error backstop). The sampler stops first — no samples after
-	// the trailer.
-	if jr != nil {
-		sampler.Stop()
-		if err := jr.Close(); err != nil {
-			fmt.Fprintf(stderr, "cfdbench: journal: %v\n", err)
-		}
-		if n := jr.Dropped(); n > 0 {
-			fmt.Fprintf(stderr, "cfdbench: journal: %d informational events dropped (bus full)\n", n)
-		}
-		fmt.Fprintf(stderr, "cfdbench: journal: %d events\n", jr.Events())
 	}
 
 	if *jsonPath != "" {
@@ -505,60 +518,51 @@ func manifestName(m *manifest.Manifest, path string) string {
 	return path
 }
 
-// progressPrinter streams one stderr line per completed simulation. The
-// Runner serializes calls, so the fields need no extra locking; a sweep
-// restart is detected by the counter resetting to 1.
-type progressPrinter struct {
-	r     *harness.Runner
-	w     io.Writer
-	start time.Time
-	// simDone counts this sweep's fresh simulations — the ETA estimator's
-	// denominator. Cache and store hits complete near-instantly, so
-	// averaging over them would collapse the estimate on a resumed sweep
-	// and make the ETA jump when the resumed prefix ends.
-	simDone int
+// progressLine returns the -metrics journal subscriber: after tr has
+// folded a spec_done event, it prints the spec, its status, and the
+// sweep's progress, cache hit rate and ETA as tr reports them. It runs on
+// the journal's writer goroutine, after tr.Observe.
+func progressLine(tr *serve.Tracker, w io.Writer, store bool) func(journal.Event) {
+	return func(ev journal.Event) {
+		if ev.Type != journal.SpecDone {
+			return
+		}
+		s := tr.Snapshot().Sweep
+		if s == nil {
+			return
+		}
+		status := "ok"
+		if ev.Status == "fault" {
+			status = "FAIL"
+		}
+		hitRate := 0.0
+		if s.Completed > 0 {
+			hitRate = float64(s.CacheHits) / float64(s.Completed)
+		}
+		// With a store attached, say how many completions were restored
+		// from disk instead of simulated — the live view of a resumed sweep.
+		stored := ""
+		if store {
+			stored = fmt.Sprintf("  store hits %d", s.StoreHits)
+		}
+		eta := "-"
+		if s.ETASec >= 0 {
+			eta = time.Duration(s.ETASec * float64(time.Second)).Round(100 * time.Millisecond).String()
+		}
+		fmt.Fprintf(w, "  [%d/%d] %-48s %-4s  hit rate %3.0f%%%s  eta %s\n",
+			s.Completed, s.Total, fmt.Sprintf("%s/%s @ %s", ev.Workload, ev.Variant, ev.Config),
+			status, 100*hitRate, stored, eta)
+	}
 }
 
-func (p *progressPrinter) report(ev harness.ProgressEvent) {
-	if ev.Completed == 1 {
-		p.start = time.Now()
-		p.simDone = 0
-	}
-	if !ev.CacheHit && !ev.StoreHit {
-		p.simDone++
-	}
-	eta := etaString(time.Since(p.start), p.simDone, ev.Completed, ev.Total)
-	m := p.r.Metrics()
-	hitRate := 0.0
-	if m.Lookups > 0 {
-		hitRate = float64(m.CacheHits) / float64(m.Lookups)
-	}
-	status := "ok"
-	if ev.Err != nil {
-		status = "FAIL"
-	}
-	// With a store attached, say how many cache misses were restored from
-	// disk instead of simulated — the live view of a resumed sweep.
-	stored := ""
-	if p.r.Store != nil {
-		stored = fmt.Sprintf("  store hits %d", p.r.Store.Metrics().Hits)
-	}
-	fmt.Fprintf(p.w, "  [%d/%d] %-48s %-4s  hit rate %3.0f%%%s  eta %s\n",
-		ev.Completed, ev.Total,
-		fmt.Sprintf("%s/%s @ %s", ev.Spec.Workload, ev.Spec.Variant, ev.Spec.Config.Name),
-		status, 100*hitRate, stored, eta)
+// lockedWriter serializes writes to w.
+type lockedWriter struct {
+	mu sync.Mutex
+	w  io.Writer
 }
 
-// etaString estimates time to sweep completion from fresh simulations
-// only: elapsed / simDone gives the per-simulation cost, times the specs
-// still outstanding. Monotone-safe on resumed sweeps — a run that opens
-// with thousands of near-instant store hits reports "-" until the first
-// real simulation lands, instead of a wildly optimistic figure that
-// balloons once fresh work starts.
-func etaString(elapsed time.Duration, simDone, completed, total int) string {
-	if simDone <= 0 || completed >= total {
-		return "-"
-	}
-	per := elapsed / time.Duration(simDone)
-	return (per * time.Duration(total-completed)).Round(100 * time.Millisecond).String()
+func (l *lockedWriter) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.w.Write(p)
 }

@@ -234,7 +234,7 @@ func main() {
 		}
 		if *journalPath != "" {
 			spec := harness.RunSpec{Workload: s.Name, Variant: workload.Variant(*variant), Config: cfg}
-			if werr := writeRunJournal(*journalPath, spec, 0, 0, err); werr != nil {
+			if werr := writeRunJournal(*journalPath, spec, nil, err); werr != nil {
 				fmt.Fprintf(os.Stderr, "cfdsim: %v\n", werr)
 			}
 		}
@@ -323,7 +323,7 @@ func main() {
 	if *journalPath != "" {
 		spec := harness.RunSpec{Workload: s.Name, Variant: workload.Variant(*variant),
 			Config: cfg, SampleEvery: *sampleEvery}
-		if err := writeRunJournal(*journalPath, spec, st.Cycles, st.Retired, nil); err != nil {
+		if err := writeRunJournal(*journalPath, spec, &st, nil); err != nil {
 			fatalf("%v", err)
 		}
 	}
@@ -428,30 +428,12 @@ func finishCampaign(rep *faultinject.Report, n int, jsonPath string) {
 // spec_done carrying the run's outcome, and the trailer — the
 // cfdsim-sized slice of the cfd-journal schema, validatable with the
 // same `go run ./internal/obs/journal/validate` tool as a sweep journal.
-func writeRunJournal(path string, spec harness.RunSpec, cycles, retired uint64, runErr error) error {
+func writeRunJournal(path string, spec harness.RunSpec, st *pipeline.Stats, runErr error) error {
 	j, err := journal.Open(path, "cfdsim")
 	if err != nil {
 		return err
 	}
-	ev := journal.Event{
-		Type: journal.SpecDone, Key: spec.Key(),
-		Workload: spec.Workload, Variant: string(spec.Variant), Config: spec.Config.Name,
-	}
-	if runErr == nil {
-		ev.Status = "ok"
-		ev.Cycles = cycles
-		ev.Retired = retired
-		if cycles > 0 {
-			ev.IPC = float64(retired) / float64(cycles)
-		}
-	} else {
-		ev.Status = "fault"
-		ev.Error = runErr.Error()
-		if f, ok := fault.As(runErr); ok {
-			ev.Fault = f.Kind.String()
-		}
-	}
-	j.Emit(ev)
+	j.Emit(harness.SpecDoneEvent(spec, spec.Key(), st, runErr))
 	return j.Close()
 }
 

@@ -16,14 +16,15 @@ import (
 	"io"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"cfd/internal/energy"
 
-	"cfd/internal/config"
 	"cfd/internal/emu"
 	"cfd/internal/fault"
 	"cfd/internal/manifest"
@@ -66,10 +67,12 @@ type Runner struct {
 	// every simulation. Expiry surfaces as a WatchdogExpiry fault with a
 	// machine-state snapshot, not a hung sweep.
 	RunTimeout time.Duration
-	// OnProgress, when non-nil, is called after each spec a Sweep
-	// completes — cache hits and (with KeepGoing) failures included.
-	// Calls are serialized across workers; keep the callback fast, it
-	// runs on the sweep's critical path.
+	// OnProgress, when non-nil, receives each spec_done event a Sweep
+	// emits, after it went to Journal — cache hits and (with KeepGoing)
+	// failures included, cancelled specs not. Calls are serialized
+	// across workers and run on the sweep's critical path. It is a
+	// synchronous tap kept for perfbench's journal back-pressure gate;
+	// everything else reads the Journal's bus.
 	OnProgress func(ProgressEvent)
 	// Store, when non-nil, persists every completed result (and every
 	// memoized deterministic typed fault) across processes: a cache miss
@@ -177,21 +180,11 @@ func (r *Runner) jobs() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// RunSpec identifies one simulation run.
-type RunSpec struct {
-	Workload   string
-	Variant    workload.Variant
-	Config     config.Core
-	PerfectAll bool // perfect prediction for all conditional branches
-	PerfectCFD bool // perfect prediction for the separable branches only
-	SampleMSHR bool // record the L1 MSHR occupancy histogram (Fig 25a)
-	// SampleEvery, when nonzero, attaches an interval sampler to the run:
-	// the result carries an IPC/stall/occupancy time series sampled every
-	// SampleEvery cycles plus full-run queue-occupancy histograms. It is
-	// part of the cache key: a sampled and an unsampled run of the same
-	// configuration are distinct simulations.
-	SampleEvery uint64
-}
+// RunSpec identifies one simulation run. It is the manifest layer's spec
+// type itself — manifests are the single source of spec enumeration — so
+// an expansion feeds Sweep with no conversion, and Key is the run's
+// deterministic cache and store identity.
+type RunSpec = manifest.Spec
 
 // Result is the outcome of one run.
 type Result struct {
@@ -230,23 +223,6 @@ func EffIPC(base, r *Result) float64 {
 	return float64(base.Stats.Retired) / float64(r.Stats.Cycles)
 }
 
-// key returns the spec's deterministic cache/store identity. Every RunSpec
-// field participates (pinned by TestRunSpecKeyCoversEveryField): the
-// human-readable prefix names the run, and the trailing digest covers the
-// complete Config struct — so two specs differing in any configuration
-// detail, even one the Name does not encode, can never alias to one
-// cache or store entry. The format is defined by manifest.Spec.Key —
-// manifests are the single source of spec enumeration, so the identity
-// lives with the declarative layer — and the struct conversion is the
-// compile-time pin that RunSpec and manifest.Spec never drift apart.
-func (rs RunSpec) key() string {
-	return manifest.Spec(rs).Key()
-}
-
-// Key is the exported form of the spec's deterministic identity, for
-// tools that journal runs outside a Runner (e.g. cfdsim -journal).
-func (rs RunSpec) Key() string { return rs.key() }
-
 // Run executes (or recalls) one simulation.
 func (r *Runner) Run(rs RunSpec) (*Result, error) {
 	return r.RunCtx(context.Background(), rs)
@@ -256,14 +232,14 @@ func (r *Runner) Run(rs RunSpec) (*Result, error) {
 // goroutine's in-flight simulation of the same spec returns early when ctx
 // is done (the simulation itself runs to completion and stays memoized).
 func (r *Runner) RunCtx(ctx context.Context, rs RunSpec) (*Result, error) {
-	res, err, _ := r.runCtx(ctx, rs, rs.key(), 0)
+	res, err, _ := r.runCtx(ctx, rs, rs.Key(), 0)
 	return res, err
 }
 
-// runCtx is the memoizing core shared by RunCtx and Sweep. key is rs.key(),
-// which the caller computes once per spec; sweep is the journal scope's
-// sequence number (0 outside a journaled sweep); the returned runInfo says
-// how the result materialized, feeding the journal and ProgressEvent.
+// runCtx is the memoizing core shared by RunCtx and Sweep. key is rs.Key(),
+// which the caller computes once per spec; sweep is the sweep scope's
+// sequence number (0 outside a sweep); the returned runInfo says how the
+// result materialized, feeding the spec_done event.
 func (r *Runner) runCtx(ctx context.Context, rs RunSpec, key string, sweep uint64) (*Result, error, runInfo) {
 	r.lookups.Add(1)
 	r.mu.Lock()
@@ -307,31 +283,41 @@ func (r *Runner) runCtx(ctx context.Context, rs RunSpec, key string, sweep uint6
 	return e.res, e.err, info
 }
 
-// Results returns every successfully completed memoized result, sorted by
-// spec key. In-flight and failed entries are skipped, so the snapshot is a
-// pure function of which specs have finished — the stable iteration order
-// is what makes the JSON export byte-identical for any Jobs setting.
-func (r *Runner) Results() []*Result {
+// finishedRun is one completed cache entry. hits is the entry's lookup
+// count when the snapshot was taken.
+type finishedRun struct {
+	key  string
+	e    *cacheEntry
+	hits uint64
+}
+
+// finished snapshots every completed memoized run, sorted by spec key.
+// In-flight entries are skipped, so the snapshot is a pure function of
+// which specs have finished — the stable order is what makes the JSON
+// export and the harness trace byte-identical for any Jobs setting.
+func (r *Runner) finished() []finishedRun {
 	r.mu.Lock()
-	entries := make(map[string]*cacheEntry, len(r.cache))
+	out := make([]finishedRun, 0, len(r.cache))
 	for k, e := range r.cache {
-		entries[k] = e
-	}
-	r.mu.Unlock()
-	keys := make([]string, 0, len(entries))
-	for k := range entries {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := make([]*Result, 0, len(keys))
-	for _, k := range keys {
-		e := entries[k]
 		select {
 		case <-e.done:
-			if e.err == nil && e.res != nil {
-				out = append(out, e.res)
-			}
+			out = append(out, finishedRun{key: k, e: e, hits: e.hits})
 		default: // still simulating
+		}
+	}
+	r.mu.Unlock()
+	slices.SortFunc(out, func(a, b finishedRun) int { return strings.Compare(a.key, b.key) })
+	return out
+}
+
+// Results returns every successfully completed memoized result, sorted by
+// spec key.
+func (r *Runner) Results() []*Result {
+	runs := r.finished()
+	out := make([]*Result, 0, len(runs))
+	for _, f := range runs {
+		if f.e.err == nil && f.e.res != nil {
+			out = append(out, f.e.res)
 		}
 	}
 	return out
@@ -349,26 +335,10 @@ type Failure struct {
 // the same stable order as Results, so the export document's faults section
 // is byte-identical for any Jobs setting.
 func (r *Runner) Failures() []Failure {
-	r.mu.Lock()
-	entries := make(map[string]*cacheEntry, len(r.cache))
-	for k, e := range r.cache {
-		entries[k] = e
-	}
-	r.mu.Unlock()
-	keys := make([]string, 0, len(entries))
-	for k := range entries {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
 	out := make([]Failure, 0)
-	for _, k := range keys {
-		e := entries[k]
-		select {
-		case <-e.done:
-			if e.err != nil {
-				out = append(out, Failure{Spec: e.spec, Err: e.err})
-			}
-		default: // still simulating
+	for _, f := range r.finished() {
+		if f.e.err != nil {
+			out = append(out, Failure{Spec: f.e.spec, Err: f.e.err})
 		}
 	}
 	return out
@@ -536,19 +506,9 @@ func (e *Experiment) Specs() ([]RunSpec, error) {
 	return SpecsFromManifest(e.Manifest)
 }
 
-// SpecsFromManifest expands any manifest into harness RunSpecs. The
-// element-wise struct conversion is the compile-time pin that the two
-// spec types stay field-identical.
+// SpecsFromManifest expands any manifest into harness RunSpecs.
 func SpecsFromManifest(m *manifest.Manifest) ([]RunSpec, error) {
-	specs, err := m.Expand()
-	if err != nil {
-		return nil, err
-	}
-	out := make([]RunSpec, len(specs))
-	for i, sp := range specs {
-		out[i] = RunSpec(sp)
-	}
-	return out, nil
+	return m.Expand()
 }
 
 // RunExperiment expands the experiment's manifest, prefetches the spec

@@ -284,7 +284,7 @@ func TestNilJournalAllocFree(t *testing.T) {
 	}
 	ctx := context.Background()
 	base := testing.AllocsPerRun(200, func() {
-		_ = rs.key()
+		_ = rs.Key()
 	})
 	got := testing.AllocsPerRun(200, func() {
 		if _, err := r.RunCtx(ctx, rs); err != nil {

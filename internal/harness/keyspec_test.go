@@ -11,9 +11,9 @@ import (
 
 // TestRunSpecKeyCoversEveryField pins the cache/store identity contract:
 // every field of RunSpec — recursively, down to every leaf of the embedded
-// Core configuration — must change key(). A future field that is added to
+// Core configuration — must change Key(). A future field that is added to
 // RunSpec (or to config.Core, or to any struct it embeds) but forgotten by
-// key() would silently alias distinct specs to one cache/store entry and
+// Key() would silently alias distinct specs to one cache/store entry and
 // serve wrong results; this test makes that impossible to miss, and fails
 // loudly on field kinds the mutator does not yet know how to perturb.
 func TestRunSpecKeyCoversEveryField(t *testing.T) {
@@ -22,18 +22,18 @@ func TestRunSpecKeyCoversEveryField(t *testing.T) {
 		Variant:  workload.Base,
 		Config:   config.SandyBridge(),
 	}
-	baseKey := base.key()
+	baseKey := base.Key()
 
 	spec := base
 	v := reflect.ValueOf(&spec).Elem()
 	leaves := 0
 	mutateEachLeaf(t, v, "RunSpec", func(path string) {
 		leaves++
-		if got := spec.key(); got == baseKey {
-			t.Errorf("mutating %s does not change key(): distinct specs would alias", path)
+		if got := spec.Key(); got == baseKey {
+			t.Errorf("mutating %s does not change Key(): distinct specs would alias", path)
 		}
 	})
-	if spec.key() != baseKey {
+	if spec.Key() != baseKey {
 		t.Fatal("mutator failed to restore the spec; the walk is unsound")
 	}
 	// Sanity floor: RunSpec's own 7 fields plus the nested configuration
@@ -48,7 +48,7 @@ func TestRunSpecKeyCoversEveryField(t *testing.T) {
 // it, calls check with the field's path, and restores the original value.
 // Unexported or unsupported fields fail the test — they could not
 // participate in the key's config digest, so they must not exist in
-// key-relevant structs without extending key() and this mutator together.
+// key-relevant structs without extending Key() and this mutator together.
 func mutateEachLeaf(t *testing.T, v reflect.Value, path string, check func(path string)) {
 	t.Helper()
 	switch v.Kind() {
@@ -92,6 +92,6 @@ func mutateEachLeaf(t *testing.T, v reflect.Value, path string, check func(path 
 			mutateEachLeaf(t, v.Index(i), fmt.Sprintf("%s[%d]", path, i), check)
 		}
 	default:
-		t.Fatalf("%s has kind %s: the key mutator cannot perturb it — extend mutateEachLeaf and make sure key() covers it", path, v.Kind())
+		t.Fatalf("%s has kind %s: the key mutator cannot perturb it — extend mutateEachLeaf and make sure Key() covers it", path, v.Kind())
 	}
 }

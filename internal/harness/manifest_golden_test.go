@@ -4,11 +4,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
-
-	"cfd/internal/manifest"
 )
 
 // The testdata/specsets goldens were captured from the hand-written
@@ -130,25 +127,6 @@ func TestManifestExpansionDeterministic(t *testing.T) {
 		}
 		if dig1, dig2 := e.Manifest.Digest(), e.Manifest.Digest(); dig1 != dig2 {
 			t.Errorf("%s: manifest digest not stable: %s vs %s", e.ID, dig1, dig2)
-		}
-	}
-}
-
-// TestSpecMirrorsRunSpec: manifest.Spec and harness.RunSpec must stay
-// field-identical (same names, same types, same order) — the struct
-// conversion in SpecsFromManifest depends on it, and the key formats
-// must agree.
-func TestSpecMirrorsRunSpec(t *testing.T) {
-	mt := reflect.TypeOf(manifest.Spec{})
-	rt := reflect.TypeOf(RunSpec{})
-	if mt.NumField() != rt.NumField() {
-		t.Fatalf("field count: manifest.Spec has %d, RunSpec has %d", mt.NumField(), rt.NumField())
-	}
-	for i := 0; i < mt.NumField(); i++ {
-		mf, rf := mt.Field(i), rt.Field(i)
-		if mf.Name != rf.Name || mf.Type != rf.Type {
-			t.Errorf("field %d: manifest.Spec has %s %s, RunSpec has %s %s",
-				i, mf.Name, mf.Type, rf.Name, rf.Type)
 		}
 	}
 }

@@ -3,12 +3,16 @@ package harness
 import (
 	"bytes"
 	"context"
+	"errors"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"cfd/internal/config"
 	"cfd/internal/obs"
+	"cfd/internal/obs/journal"
 	"cfd/internal/workload"
 )
 
@@ -126,68 +130,105 @@ func TestHarnessTrace(t *testing.T) {
 	}
 }
 
+// progressSweep runs one sweep of specs on r with both listeners
+// attached — a journal bus and OnProgress — and returns every journal
+// event plus the OnProgress events in call order. The OnProgress
+// callback takes no lock of its own, so under -race it also checks that
+// the Runner serializes the calls.
+func progressSweep(t *testing.T, ctx context.Context, r *Runner, specs []RunSpec) (journaled, progress []journal.Event, err error) {
+	t.Helper()
+	j := journal.New("test")
+	j.Subscribe(func(ev journal.Event) { journaled = append(journaled, ev) })
+	r.Journal = j
+	r.OnProgress = func(ev ProgressEvent) { progress = append(progress, ev) }
+	_, err = r.Sweep(ctx, specs)
+	if cerr := j.Close(); cerr != nil {
+		t.Fatal(cerr)
+	}
+	return journaled, progress, err
+}
+
+// outcome is what a listener learns from one spec_done event.
+type outcome struct {
+	key      string
+	cacheHit bool
+	status   string
+}
+
+func outcomes(evs []journal.Event) []outcome {
+	var out []outcome
+	for _, ev := range evs {
+		if ev.Type == journal.SpecDone {
+			out = append(out, outcome{ev.Key, ev.CacheHit, ev.Status})
+		}
+	}
+	return out
+}
+
+// progressSpecs is a sweep with duplicate specs, which complete as cache
+// hits.
+func progressSpecs() []RunSpec {
+	base := obsSpecs()
+	return append(append([]RunSpec{}, base...), base[0], base[1])
+}
+
+// TestSweepProgress pins that OnProgress receives exactly the journal's
+// spec_done events, in the journal's order, and that every spec_done
+// follows a spec_submit of the same key.
 func TestSweepProgress(t *testing.T) {
-	for _, jobs := range []int{1, 4} {
+	specs := progressSpecs()
+	for _, jobs := range []int{1, 8} {
 		r := NewRunner(0.02)
 		r.Jobs = jobs
-		var mu sync.Mutex
-		var events []ProgressEvent
-		r.OnProgress = func(ev ProgressEvent) {
-			mu.Lock()
-			events = append(events, ev)
-			mu.Unlock()
-		}
-		specs := obsSpecs()
-		if _, err := r.Sweep(context.Background(), specs); err != nil {
+		journaled, progress, err := progressSweep(t, context.Background(), r, specs)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if len(events) != len(specs) {
-			t.Fatalf("jobs=%d: %d progress events for %d specs", jobs, len(events), len(specs))
+		done := outcomes(journaled)
+		if len(done) != len(specs) {
+			t.Fatalf("jobs=%d: %d spec_done events for %d specs", jobs, len(done), len(specs))
 		}
-		for i, ev := range events {
-			if ev.Completed != i+1 || ev.Total != len(specs) {
-				t.Errorf("jobs=%d: event %d = %d/%d, want %d/%d",
-					jobs, i, ev.Completed, ev.Total, i+1, len(specs))
-			}
-			if ev.Err != nil {
-				t.Errorf("jobs=%d: unexpected failure for %s: %v", jobs, ev.Spec.Workload, ev.Err)
+		if got := outcomes(progress); !reflect.DeepEqual(got, done) {
+			t.Errorf("jobs=%d: OnProgress saw\n%v\nthe journal's spec_done events are\n%v", jobs, got, done)
+		}
+		if len(progress) != len(done) {
+			t.Errorf("jobs=%d: %d OnProgress calls for %d spec_done events", jobs, len(progress), len(done))
+		}
+		open := map[string]int{}
+		for _, ev := range journaled {
+			switch ev.Type {
+			case journal.SpecSubmit:
+				open[ev.Key]++
+			case journal.SpecDone:
+				if open[ev.Key] == 0 {
+					t.Errorf("jobs=%d: spec_done for %s without a pending spec_submit", jobs, ev.Key)
+				}
+				open[ev.Key]--
+				if ev.Status != "ok" || ev.Sweep != 1 {
+					t.Errorf("jobs=%d: spec_done %+v, want status ok in sweep 1", jobs, ev)
+				}
 			}
 		}
 	}
 }
 
-// TestSweepProgressCompleteness pins OnProgress under parallelism:
-// every submitted spec is observed exactly once (duplicates included),
-// the serialized Completed counter covers 1..N exactly, and the
-// cache-hit flags agree with the Runner's own metrics.
+// TestSweepProgressCompleteness pins the progress stream's accounting
+// under parallelism: every submission (duplicates included) completes
+// exactly once, the cache-hit events match the Runner's own metrics, and
+// only the distinct specs simulate.
 func TestSweepProgressCompleteness(t *testing.T) {
-	base := obsSpecs()
-	specs := append(append([]RunSpec{}, base...), base[0], base[1]) // dups → cache hits
+	specs := progressSpecs()
 	for _, jobs := range []int{1, 8} {
 		r := NewRunner(0.02)
 		r.Jobs = jobs
-		var mu sync.Mutex
-		var events []ProgressEvent
-		r.OnProgress = func(ev ProgressEvent) {
-			mu.Lock()
-			events = append(events, ev)
-			mu.Unlock()
-		}
-		if _, err := r.Sweep(context.Background(), specs); err != nil {
+		_, progress, err := progressSweep(t, context.Background(), r, specs)
+		if err != nil {
 			t.Fatal(err)
-		}
-		if len(events) != len(specs) {
-			t.Fatalf("jobs=%d: %d progress events for %d specs", jobs, len(events), len(specs))
 		}
 		perKey := map[string]int{}
 		cacheHits := 0
-		seen := map[int]bool{}
-		for _, ev := range events {
-			perKey[ev.Spec.key()]++
-			seen[ev.Completed] = true
-			if ev.Total != len(specs) {
-				t.Errorf("jobs=%d: event total %d, want %d", jobs, ev.Total, len(specs))
-			}
+		for _, ev := range progress {
+			perKey[ev.Key]++
 			if ev.CacheHit {
 				cacheHits++
 			}
@@ -195,13 +236,10 @@ func TestSweepProgressCompleteness(t *testing.T) {
 				t.Errorf("jobs=%d: store hit reported without a store", jobs)
 			}
 		}
-		for i := 1; i <= len(specs); i++ {
-			if !seen[i] {
-				t.Errorf("jobs=%d: no event with Completed=%d", jobs, i)
-			}
-		}
+		distinct := map[string]bool{}
 		for _, rs := range specs {
-			perKey[rs.key()]--
+			perKey[rs.Key()]--
+			distinct[rs.Key()] = true
 		}
 		for k, n := range perKey {
 			if n != 0 {
@@ -212,8 +250,71 @@ func TestSweepProgressCompleteness(t *testing.T) {
 		if uint64(cacheHits) != m.CacheHits {
 			t.Errorf("jobs=%d: %d cache-hit progress events, runner counted %d", jobs, cacheHits, m.CacheHits)
 		}
-		if m.Simulations != uint64(len(base)) {
-			t.Errorf("jobs=%d: %d simulations, want %d", jobs, m.Simulations, len(base))
+		if m.Simulations != uint64(len(distinct)) {
+			t.Errorf("jobs=%d: %d simulations, want %d", jobs, m.Simulations, len(distinct))
+		}
+	}
+}
+
+// TestSweepProgressCancelled pins the stream when a KeepGoing sweep is
+// cancelled mid-flight: the in-flight simulation still completes and is
+// reported, a duplicate waiting on it is cancelled and reaches neither
+// listener, and sweep_finish counts exactly the spec_done events.
+func TestSweepProgressCancelled(t *testing.T) {
+	b := obsSpecs()
+	specs := append([]RunSpec{b[0], b[0], b[1], b[2]}, journalSpecs()...)
+	for _, jobs := range []int{1, 2} {
+		ctx, cancel := context.WithCancel(context.Background())
+		r := NewRunner(0.02)
+		r.Jobs = jobs
+		r.KeepGoing = true
+		// The first simulation cancels the sweep. With two workers it
+		// first waits for the second worker's lookup of the duplicate,
+		// which then waits on the simulation in flight.
+		var once sync.Once
+		testOnSimulate = func(RunSpec) {
+			once.Do(func() {
+				for deadline := time.Now().Add(10 * time.Second); jobs > 1 && r.lookups.Load() < 2; {
+					if time.Now().After(deadline) {
+						t.Error("second worker never looked up the duplicate")
+						break
+					}
+					time.Sleep(50 * time.Microsecond)
+				}
+				cancel()
+			})
+		}
+		journaled, progress, err := progressSweep(t, ctx, r, specs)
+		testOnSimulate = nil
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("jobs=%d: sweep returned %v, want context.Canceled", jobs, err)
+		}
+		done := outcomes(journaled)
+		if len(progress) != len(done) {
+			t.Errorf("jobs=%d: %d OnProgress calls, %d spec_done events", jobs, len(progress), len(done))
+		}
+		var finish *journal.Event
+		for i, ev := range journaled {
+			if ev.Type == journal.SweepFinish {
+				finish = &journaled[i]
+			}
+			if ev.Error != "" && (strings.Contains(ev.Error, context.Canceled.Error()) ||
+				strings.Contains(ev.Error, context.DeadlineExceeded.Error())) {
+				t.Errorf("jobs=%d: %s event carries a context error: %s", jobs, ev.Type, ev.Error)
+			}
+		}
+		if finish == nil {
+			t.Fatalf("jobs=%d: no sweep_finish event", jobs)
+		}
+		if n := finish.Completed + finish.Failed; n != len(done) {
+			t.Errorf("jobs=%d: sweep_finish counts %d, journal has %d spec_done events", jobs, n, len(done))
+		}
+		if len(done) != 1 || done[0].key != b[0].Key() || done[0].cacheHit {
+			t.Errorf("jobs=%d: spec_done events %v, want only the simulation of %s", jobs, done, b[0].Key())
+		}
+		if want := uint64(jobs); r.Metrics().Lookups != want {
+			t.Errorf("jobs=%d: %d lookups, want %d (the duplicate's cancelled wait)", jobs, r.Metrics().Lookups, want)
 		}
 	}
 }

@@ -118,13 +118,13 @@ func (r *Runner) storeLoad(rs RunSpec, key string) (*Result, error, bool) {
 		return nil, nil, false
 	}
 	if sr.Spec != rs {
-		r.Store.Quarantine(skey, fmt.Sprintf("payload spec mismatch: entry holds %s, want %s", sr.Spec.key(), rs.key()))
+		r.Store.Quarantine(skey, fmt.Sprintf("payload spec mismatch: entry holds %s, want %s", sr.Spec.Key(), rs.Key()))
 		return nil, nil, false
 	}
 	switch {
 	case sr.Result != nil:
 		if sr.Result.Spec != rs {
-			r.Store.Quarantine(skey, fmt.Sprintf("payload result spec mismatch: result holds %s, want %s", sr.Result.Spec.key(), rs.key()))
+			r.Store.Quarantine(skey, fmt.Sprintf("payload result spec mismatch: result holds %s, want %s", sr.Result.Spec.Key(), rs.Key()))
 			return nil, nil, false
 		}
 		return sr.Result, nil, true

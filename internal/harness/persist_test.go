@@ -62,7 +62,7 @@ func TestStoreRoundTripFidelity(t *testing.T) {
 
 	b := openTestStore(t, dir)
 	var simulated []string
-	restore := func(rs RunSpec) { simulated = append(simulated, rs.key()) }
+	restore := func(rs RunSpec) { simulated = append(simulated, rs.Key()) }
 	testOnSimulate = restore
 	defer func() { testOnSimulate = nil }()
 	restored, err := b.Sweep(context.Background(), specs)
@@ -78,7 +78,7 @@ func TestStoreRoundTripFidelity(t *testing.T) {
 	for i := range specs {
 		if !reflect.DeepEqual(fresh[i], restored[i]) {
 			t.Errorf("spec %d (%s): restored result differs\nfresh:    %+v\nrestored: %+v",
-				i, specs[i].key(), fresh[i], restored[i])
+				i, specs[i].Key(), fresh[i], restored[i])
 		}
 	}
 	// The runner-level metrics are identical too: a store restore counts
@@ -326,7 +326,7 @@ func TestStoreParallelSweepShared(t *testing.T) {
 	}
 	// The converged store restores everything for a third runner.
 	c := openTestStore(t, dir)
-	testOnSimulate = func(rs RunSpec) { t.Errorf("converged store re-simulated %s", rs.key()) }
+	testOnSimulate = func(rs RunSpec) { t.Errorf("converged store re-simulated %s", rs.Key()) }
 	defer func() { testOnSimulate = nil }()
 	if _, err := c.Sweep(context.Background(), specs); err != nil {
 		t.Fatal(err)
@@ -384,8 +384,8 @@ func TestStoreDrainPersistsInFlightRuns(t *testing.T) {
 func TestStoreKeyIncludesResolvedN(t *testing.T) {
 	spec := persistSpecs()[0]
 	a, b := NewRunner(0.02), NewRunner(0.06)
-	ka, okA := a.storeKey(spec, spec.key())
-	kb, okB := b.storeKey(spec, spec.key())
+	ka, okA := a.storeKey(spec, spec.Key())
+	kb, okB := b.storeKey(spec, spec.Key())
 	if !okA || !okB {
 		t.Fatal("storeKey failed for a registered workload")
 	}
@@ -414,11 +414,11 @@ func TestStoreSpecMismatchQuarantineNamesBothSpecs(t *testing.T) {
 	// Cross-plant: publish spec B's payload under spec A's store key. The
 	// envelope checks all pass (Put recomputes key and checksum); only the
 	// payload-level spec comparison can catch it.
-	skeyA, ok := a.storeKey(specs[0], specs[0].key())
+	skeyA, ok := a.storeKey(specs[0], specs[0].Key())
 	if !ok {
 		t.Fatal("storeKey A")
 	}
-	skeyB, ok := a.storeKey(specs[1], specs[1].key())
+	skeyB, ok := a.storeKey(specs[1], specs[1].Key())
 	if !ok {
 		t.Fatal("storeKey B")
 	}
@@ -445,7 +445,7 @@ func TestStoreSpecMismatchQuarantineNamesBothSpecs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"holds " + specs[1].key(), "want " + specs[0].key()} {
+	for _, want := range []string{"holds " + specs[1].Key(), "want " + specs[0].Key()} {
 		if !strings.Contains(string(data), want) {
 			t.Errorf("reason %q missing %q", data, want)
 		}

@@ -32,16 +32,14 @@ func (r *Runner) Sweep(ctx context.Context, specs []RunSpec) ([]*Result, error) 
 	}
 	sw := r.beginSweep(len(specs), jobs)
 	defer sw.finish()
-	report := r.progressReporter(len(specs))
 	// runOne is the shared per-spec step: journal the submission, run,
-	// journal the terminal outcome, report progress. The spec's key is
-	// computed once here for all three.
+	// report the terminal outcome. The spec's key is computed once here
+	// for all three.
 	runOne := func(ctx context.Context, rs RunSpec) (*Result, error) {
-		key := rs.key()
+		key := rs.Key()
 		sw.submit(rs, key)
-		res, err, info := r.runCtx(ctx, rs, key, sw.id())
+		res, err, info := r.runCtx(ctx, rs, key, sw.seq)
 		sw.done(rs, key, res, err, info)
-		report(rs, err, info)
 		return res, err
 	}
 	if jobs <= 1 {

@@ -92,7 +92,7 @@ type VariantExpr struct {
 	// complete CFD(BQ) variant).
 	AnyOf []string `json:"anyOf,omitempty"`
 
-	// Run-mode flags, mirroring the harness spec fields.
+	// Run-mode flags, copied into each expanded Spec.
 	PerfectAll  bool   `json:"perfectAll,omitempty"`
 	PerfectCFD  bool   `json:"perfectCFD,omitempty"`
 	SampleMSHR  bool   `json:"sampleMSHR,omitempty"`
@@ -230,17 +230,20 @@ func (m *Manifest) Digest() string {
 	return hex.EncodeToString(sum[:])
 }
 
-// Spec mirrors harness.RunSpec field for field — the harness converts
-// between the two with a plain struct conversion, which the compiler
-// rejects if the layouts ever drift. Key (and the harness key it defines)
-// is the deterministic cache/store identity of one simulation.
+// Spec identifies one simulation run; harness.RunSpec is this type. Key is
+// the run's deterministic cache and store identity.
 type Spec struct {
-	Workload    string
-	Variant     workload.Variant
-	Config      config.Core
-	PerfectAll  bool
-	PerfectCFD  bool
-	SampleMSHR  bool
+	Workload   string
+	Variant    workload.Variant
+	Config     config.Core
+	PerfectAll bool // perfect prediction for all conditional branches
+	PerfectCFD bool // perfect prediction for the separable branches only
+	SampleMSHR bool // record the L1 MSHR occupancy histogram (Fig 25a)
+	// SampleEvery, when nonzero, attaches an interval sampler to the run:
+	// the result carries an IPC/stall/occupancy time series sampled every
+	// SampleEvery cycles plus full-run queue-occupancy histograms. It is
+	// part of the key: a sampled and an unsampled run of the same
+	// configuration are distinct simulations.
 	SampleEvery uint64
 }
 

@@ -12,7 +12,8 @@
 //
 // Everything served is read-only and advisory; the sweep never blocks on
 // a scrape. The Tracker folds the journal's event stream into the
-// /status snapshot, so the server sees exactly what the journal records.
+// /status snapshot, so the server sees exactly what the journal records;
+// cfdbench -metrics prints its progress lines from the same Tracker.
 package serve
 
 import (
@@ -22,6 +23,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"slices"
 	"sync"
 	"time"
 
@@ -121,8 +123,7 @@ func (t *Tracker) Observe(ev journal.Event) {
 		}
 		if s := t.cur; s != nil && s.Running {
 			s.Completed++
-			switch {
-			case ev.Status == "fault":
+			if ev.Status == "fault" {
 				s.Failed++
 			}
 			switch {
@@ -173,7 +174,7 @@ func (t *Tracker) Snapshot() Status {
 	for k := range t.inFlight {
 		st.InFlight = append(st.InFlight, k)
 	}
-	sortStrings(st.InFlight)
+	slices.Sort(st.InFlight)
 	st.LastEvents = append(st.LastEvents, t.last...)
 	return st
 }
@@ -189,14 +190,6 @@ func eta(s SweepStatus) float64 {
 	}
 	per := s.ElapsedSec / float64(s.Simulated)
 	return per * float64(s.Total-s.Completed)
-}
-
-func sortStrings(ss []string) {
-	for i := 1; i < len(ss); i++ {
-		for j := i; j > 0 && ss[j] < ss[j-1]; j-- {
-			ss[j], ss[j-1] = ss[j-1], ss[j]
-		}
-	}
 }
 
 // Server is the live observability endpoint for one CLI invocation.

@@ -87,6 +87,8 @@ func TestEta(t *testing.T) {
 		{SweepStatus{Running: true, Total: 10, Completed: 5, Simulated: 0, ElapsedSec: 10}, -1},
 		{SweepStatus{Running: false, Total: 10, Completed: 5, Simulated: 5, ElapsedSec: 10}, -1},
 		{SweepStatus{Running: true, Total: 10, Completed: 10, Simulated: 10, ElapsedSec: 10}, -1},
+		// More completions than total: never a negative estimate.
+		{SweepStatus{Running: true, Total: 10, Completed: 12, Simulated: 10, ElapsedSec: 10}, -1},
 		// 10s / 5 simulated = 2s per sim, 5 outstanding → 10s.
 		{SweepStatus{Running: true, Total: 10, Completed: 5, Simulated: 5, ElapsedSec: 10}, 10},
 		// Resumed sweep: 8 store hits + 2 simulated in 4s → 2s/sim, 90 left → 180s.
