@@ -545,14 +545,20 @@ func progressLine(tr *serve.Tracker, w io.Writer, store bool) func(journal.Event
 		if store {
 			stored = fmt.Sprintf("  store hits %d", s.StoreHits)
 		}
-		eta := "-"
-		if s.ETASec >= 0 {
-			eta = time.Duration(s.ETASec * float64(time.Second)).Round(100 * time.Millisecond).String()
-		}
 		fmt.Fprintf(w, "  [%d/%d] %-48s %-4s  hit rate %3.0f%%%s  eta %s\n",
 			s.Completed, s.Total, fmt.Sprintf("%s/%s @ %s", ev.Workload, ev.Variant, ev.Config),
-			status, 100*hitRate, stored, eta)
+			status, 100*hitRate, stored, etaString(s.ETASec))
 	}
+}
+
+// etaString renders the tracker's ETA for the -metrics line: "-" when it
+// has no estimate (negative ETASec), otherwise the duration rounded to
+// 100ms.
+func etaString(sec float64) string {
+	if sec < 0 {
+		return "-"
+	}
+	return time.Duration(sec * float64(time.Second)).Round(100 * time.Millisecond).String()
 }
 
 // lockedWriter serializes writes to w.

@@ -175,6 +175,29 @@ func TestStoreResumeConverges(t *testing.T) {
 	}
 }
 
+// TestEtaString pins how -metrics renders the tracker's ETA: no estimate
+// (the store-hit prefix of a resumed run, or a finished sweep) prints "-";
+// otherwise the seconds print as a duration rounded to 100ms. The
+// estimator itself is pinned by serve's TestEta.
+func TestEtaString(t *testing.T) {
+	cases := []struct {
+		sec  float64
+		want string
+	}{
+		{-1, "-"},
+		{0, "0s"},
+		{10, "10s"},
+		{180, "3m0s"}, // resumed sweep: 2s per simulation, 90 specs left
+		{1.234, "1.2s"},
+		{0.04, "0s"},
+	}
+	for i, tc := range cases {
+		if got := etaString(tc.sec); got != tc.want {
+			t.Errorf("case %d: etaString(%v) = %q, want %q", i, tc.sec, got, tc.want)
+		}
+	}
+}
+
 // TestJournalEndToEnd drives -journal, -listen, -host-sample, and -json
 // together through run(): the journal on disk validates, every completion
 // it records as stored is actually in the store (the invariant the CI
