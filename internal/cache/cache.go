@@ -9,7 +9,10 @@
 // supplied it.
 package cache
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+)
 
 // ServiceLevel identifies the furthest memory hierarchy level that serviced
 // an access (paper Fig 2a's L1/L2/L3/MEM breakdown).
@@ -86,11 +89,53 @@ func DefaultConfig() Config {
 	}
 }
 
-type line struct {
-	valid bool
-	tag   uint64
-	lru   uint64
+// Validate reports geometry and latencies the model cannot honour, naming
+// the field. Set and line indices are masks, so the line size and each
+// level's set count must be powers of two; a latency of zero would
+// complete an access in the cycle that issued it.
+func (c Config) Validate() error {
+	if c.LineBytes <= 0 || c.LineBytes&(c.LineBytes-1) != 0 {
+		return fmt.Errorf("LineBytes is %d; must be a power of two", c.LineBytes)
+	}
+	if c.MemLatency < 1 {
+		return errors.New("MemLatency is 0; must be at least 1")
+	}
+	if c.NumMSHRs < 1 {
+		return fmt.Errorf("NumMSHRs is %d; must be at least 1", c.NumMSHRs)
+	}
+	for _, lv := range []struct {
+		field string
+		cfg   LevelConfig
+	}{{"L1", c.L1}, {"L2", c.L2}, {"L3", c.L3}} {
+		l := lv.cfg
+		if l.Ways < 1 {
+			return fmt.Errorf("%s.Ways is %d; must be at least 1", lv.field, l.Ways)
+		}
+		if l.Latency < 1 {
+			return fmt.Errorf("%s.Latency is 0; must be at least 1", lv.field)
+		}
+		if sets := l.sets(c.LineBytes); sets < 1 || sets&(sets-1) != 0 {
+			return fmt.Errorf("%s.SizeKB is %d: %d ways of %d bytes give %d sets; the set count must be a power of two",
+				lv.field, l.SizeKB, l.Ways, c.LineBytes, sets)
+		}
+	}
+	return nil
 }
+
+// sets returns the number of sets the level's size divides into.
+func (l LevelConfig) sets(lineBytes int) int { return l.SizeKB * 1024 / lineBytes / l.Ways }
+
+// line is one cache way. A zero tag marks it invalid: lineTag sets the
+// top bit of every real tag, which keeps a line at 16 bytes.
+type line struct {
+	tag uint64
+	lru uint64
+}
+
+// lineTag returns the tag lineAddr is stored under: the full line address
+// shifted right once (its set-index bits are redundant but harmless),
+// with the top bit set so that no tag is zero.
+func lineTag(lineAddr uint64) uint64 { return lineAddr>>1 | 1<<63 }
 
 type level struct {
 	cfg      LevelConfig
@@ -103,11 +148,7 @@ type level struct {
 }
 
 func newLevel(cfg LevelConfig, lineBytes int) *level {
-	numLines := cfg.SizeKB * 1024 / lineBytes
-	numSets := numLines / cfg.Ways
-	if numSets == 0 {
-		numSets = 1
-	}
+	numSets := max(cfg.sets(lineBytes), 1)
 	return &level{
 		cfg:     cfg,
 		lines:   make([]line, numSets*cfg.Ways),
@@ -126,9 +167,9 @@ func (l *level) set(lineAddr uint64) []line {
 func (l *level) lookup(lineAddr, clock uint64) bool {
 	l.accesses++
 	set := l.set(lineAddr)
-	tag := lineAddr >> 1 // full tag (setMask bits are redundant but harmless)
+	tag := lineTag(lineAddr)
 	for i := range set {
-		if set[i].valid && set[i].tag == tag {
+		if set[i].tag == tag {
 			set[i].lru = clock
 			return true
 		}
@@ -140,14 +181,14 @@ func (l *level) lookup(lineAddr, clock uint64) bool {
 // install fills lineAddr, evicting the LRU way.
 func (l *level) install(lineAddr, clock uint64) {
 	set := l.set(lineAddr)
-	tag := lineAddr >> 1
+	tag := lineTag(lineAddr)
 	victim := 0
 	for i := range set {
-		if set[i].valid && set[i].tag == tag {
+		if set[i].tag == tag {
 			set[i].lru = clock
 			return
 		}
-		if !set[i].valid {
+		if set[i].tag == 0 {
 			victim = i
 			break
 		}
@@ -155,7 +196,7 @@ func (l *level) install(lineAddr, clock uint64) {
 			victim = i
 		}
 	}
-	set[victim] = line{valid: true, tag: tag, lru: clock}
+	set[victim] = line{tag: tag, lru: clock}
 }
 
 type mshr struct {

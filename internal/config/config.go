@@ -189,7 +189,8 @@ func (c Core) WithDepth(depth int) Core {
 	return c
 }
 
-// Validate reports configuration mistakes early.
+// Validate reports configuration mistakes early, naming the offending
+// field: a config it accepts is one the model can honour.
 func (c Core) Validate() error {
 	switch {
 	case c.FetchWidth <= 0 || c.RenameWidth <= 0 || c.IssueWidth <= 0 || c.RetireWidth <= 0:
@@ -212,6 +213,30 @@ func (c Core) Validate() error {
 		return fmt.Errorf("config %s: queue sizes must be positive", c.Name)
 	case c.NumCheckpoints < 0:
 		return fmt.Errorf("config %s: negative checkpoint count", c.Name)
+	case c.BTBLogSets < 0:
+		return fmt.Errorf("config %s: BTBLogSets is %d; must not be negative", c.Name, c.BTBLogSets)
+	}
+	// Zero ports never issue, an empty BTB set or RAS is indexed anyway,
+	// and a latency of zero would schedule into the completion bucket
+	// this cycle has already drained.
+	for _, f := range []struct {
+		name string
+		v    int
+	}{
+		{"ALUPorts", c.ALUPorts},
+		{"MemPorts", c.MemPorts},
+		{"BrPorts", c.BrPorts},
+		{"MulLatency", c.MulLatency},
+		{"DivLatency", c.DivLatency},
+		{"BTBWays", c.BTBWays},
+		{"RASDepth", c.RASDepth},
+	} {
+		if f.v < 1 {
+			return fmt.Errorf("config %s: %s is %d; must be at least 1", c.Name, f.name, f.v)
+		}
+	}
+	if err := c.Cache.Validate(); err != nil {
+		return fmt.Errorf("config %s: Cache.%w", c.Name, err)
 	}
 	return nil
 }

@@ -1,6 +1,9 @@
 package config
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 func TestSandyBridgeValid(t *testing.T) {
 	c := SandyBridge()
@@ -72,6 +75,52 @@ func TestValidateCatchesErrors(t *testing.T) {
 		mutate(&c)
 		if err := c.Validate(); err == nil {
 			t.Errorf("case %d: invalid config accepted", i)
+		}
+	}
+}
+
+// TestValidateNamesField pins, per field, one value the model honours
+// and one it cannot, each one past the boundary: the bad config must be
+// rejected with the field's path in the error.
+func TestValidateNamesField(t *testing.T) {
+	for _, tc := range []struct {
+		field     string
+		set       func(c *Core, v int)
+		good, bad int
+	}{
+		{"Cache.L1.Ways", func(c *Core, v int) { c.Cache.L1.Ways = v }, 1, 0},
+		{"Cache.L2.Ways", func(c *Core, v int) { c.Cache.L2.Ways = v }, 16, -1},
+		{"Cache.L3.Ways", func(c *Core, v int) { c.Cache.L3.Ways = v }, 32, 0},
+		{"Cache.L1.SizeKB", func(c *Core, v int) { c.Cache.L1.SizeKB = v }, 1, 0},
+		{"Cache.L2.SizeKB", func(c *Core, v int) { c.Cache.L2.SizeKB = v }, 512, 384},
+		{"Cache.L3.SizeKB", func(c *Core, v int) { c.Cache.L3.SizeKB = v }, 64, 48},
+		{"Cache.LineBytes", func(c *Core, v int) { c.Cache.LineBytes = v }, 32, 48},
+		{"Cache.NumMSHRs", func(c *Core, v int) { c.Cache.NumMSHRs = v }, 1, 0},
+		{"Cache.L1.Latency", func(c *Core, v int) { c.Cache.L1.Latency = uint64(v) }, 1, 0},
+		{"Cache.L2.Latency", func(c *Core, v int) { c.Cache.L2.Latency = uint64(v) }, 1, 0},
+		{"Cache.L3.Latency", func(c *Core, v int) { c.Cache.L3.Latency = uint64(v) }, 1, 0},
+		{"Cache.MemLatency", func(c *Core, v int) { c.Cache.MemLatency = uint64(v) }, 1, 0},
+		{"MulLatency", func(c *Core, v int) { c.MulLatency = v }, 1, 0},
+		{"DivLatency", func(c *Core, v int) { c.DivLatency = v }, 1, 0},
+		{"ALUPorts", func(c *Core, v int) { c.ALUPorts = v }, 1, 0},
+		{"MemPorts", func(c *Core, v int) { c.MemPorts = v }, 1, 0},
+		{"BrPorts", func(c *Core, v int) { c.BrPorts = v }, 1, 0},
+		{"BTBWays", func(c *Core, v int) { c.BTBWays = v }, 1, 0},
+		{"BTBLogSets", func(c *Core, v int) { c.BTBLogSets = v }, 0, -1},
+		{"RASDepth", func(c *Core, v int) { c.RASDepth = v }, 1, 0},
+	} {
+		c := SandyBridge()
+		tc.set(&c, tc.good)
+		if err := c.Validate(); err != nil {
+			t.Errorf("%s = %d rejected: %v", tc.field, tc.good, err)
+		}
+		c = SandyBridge()
+		tc.set(&c, tc.bad)
+		err := c.Validate()
+		if err == nil {
+			t.Errorf("%s = %d accepted", tc.field, tc.bad)
+		} else if !strings.Contains(err.Error(), tc.field+" ") {
+			t.Errorf("%s = %d: error %q does not name the field", tc.field, tc.bad, err)
 		}
 	}
 }

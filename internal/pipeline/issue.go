@@ -314,13 +314,19 @@ func (c *Core) sqLookup(seq, addr uint64, size int) (val uint64, fwd, wait bool)
 // speculative pops (§III-C2).
 func (c *Core) complete() {
 	slot := c.now % eventRing
-	evs := c.events[slot]
-	if len(evs) == 0 {
+	n := c.evHead[slot]
+	if n == 0 {
 		return
 	}
-	c.cycCompleted = len(evs)
-	c.events[slot] = evs[:0]
-	for _, ev := range evs {
+	c.evHead[slot], c.evTail[slot] = 0, 0
+	for n != 0 {
+		// Copy the node out and free it before acting on it: a parked
+		// event's reschedule may reuse it.
+		ev := c.evPool[n]
+		c.evPool[n].next = c.evFree
+		c.evFree = n
+		n = ev.next
+		c.cycCompleted++
 		if ev.at > c.now {
 			// Parked long-latency event: reschedule (now within ring
 			// range or parks again).

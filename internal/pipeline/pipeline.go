@@ -339,10 +339,16 @@ type Core struct {
 
 	usedCkpts int
 
-	// Completion events: a bucket ring indexed by cycle. Events farther
-	// out than the ring (rare: deeply queued misses) park in the last
-	// slot and reschedule.
-	events [][]completion
+	// Completion events: a ring of eventRing buckets indexed by cycle,
+	// each a FIFO list threaded through one node pool. evHead and evTail
+	// hold pool indices (0 is the empty list, so node 0 is never used),
+	// and evFree heads the list of free nodes. Nothing here is a pointer,
+	// so the collector never scans it. Events farther out than the ring
+	// (rare: deeply queued misses) park in the last bucket and reschedule.
+	evHead []int32
+	evTail []int32
+	evPool []completion
+	evFree int32
 
 	now             uint64
 	done            bool
@@ -391,18 +397,35 @@ type completion struct {
 	robPos uint64
 	seq    uint64
 	at     uint64
+	next   int32 // pool index of the next node in its list; 0 ends it
 }
 
 // eventRing is the completion ring size; it must exceed the longest normal
 // operation latency including MSHR queueing.
 const eventRing = 1 << 14
 
+// schedule links a completion event at the tail of its bucket, so a
+// bucket's events complete in the order they were scheduled.
 func (c *Core) schedule(at, robPos, seq uint64) {
 	slot := at
 	if at-c.now >= eventRing {
 		slot = c.now + eventRing - 1
 	}
-	c.events[slot%eventRing] = append(c.events[slot%eventRing], completion{robPos: robPos, seq: seq, at: at})
+	slot %= eventRing
+	n := c.evFree
+	if n != 0 {
+		c.evFree = c.evPool[n].next
+	} else {
+		n = int32(len(c.evPool))
+		c.evPool = append(c.evPool, completion{})
+	}
+	c.evPool[n] = completion{robPos: robPos, seq: seq, at: at}
+	if t := c.evTail[slot]; t != 0 {
+		c.evPool[t].next = n
+	} else {
+		c.evHead[slot] = n
+	}
+	c.evTail[slot] = n
 }
 
 // fqLen returns the front-end queue occupancy.
@@ -488,16 +511,14 @@ func New(cfg config.Core, p *prog.Program, m *mem.Memory, opts ...Option) (*Core
 		robMask: robCap - 1,
 		sq:      make([]sqEntry, sqCap),
 		sqMask:  sqCap - 1,
-		events:  make([][]completion, eventRing),
-		Meter:   energy.NewMeter(energy.DefaultModel(cfg.ROBSize)),
-	}
-	// Seed each completion bucket with a little capacity carved from one
-	// backing array: steady state then appends without allocating (the
-	// drain in complete() resets buckets to length zero, keeping whatever
-	// capacity they have grown to).
-	evBack := make([]completion, eventRing*4)
-	for i := range c.events {
-		c.events[i] = evBack[i*4 : i*4 : i*4+4]
+		evHead:  make([]int32, eventRing),
+		evTail:  make([]int32, eventRing),
+		// One node per window slot covers the usual load; squashed
+		// uops' stale events can push the pool past it, and it then
+		// keeps what it grew to, so steady state schedules without
+		// allocating.
+		evPool: make([]completion, 1, robCap+1),
+		Meter:  energy.NewMeter(energy.DefaultModel(cfg.ROBSize)),
 	}
 	switch cfg.Predictor {
 	case config.PredGshare:
@@ -617,7 +638,7 @@ func (c *Core) idleSkip(wd *fault.Watchdog, stallLimit uint64) {
 		scanTo = horizon
 	}
 	for t := c.now; t < scanTo; t++ {
-		if len(c.events[t%eventRing]) > 0 {
+		if c.evHead[t%eventRing] != 0 {
 			target = t
 			break
 		}

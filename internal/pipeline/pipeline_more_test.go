@@ -3,10 +3,12 @@ package pipeline
 import (
 	"testing"
 
+	"cfd/internal/cache"
 	"cfd/internal/config"
 	"cfd/internal/isa"
 	"cfd/internal/mem"
 	"cfd/internal/prog"
+	"cfd/internal/stats"
 )
 
 // tqOverflowProg pushes trip counts around the 16-bit limit; overflowed
@@ -201,4 +203,86 @@ func TestHaltMidSpeculation(t *testing.T) {
 	if got := core.Mem().Read(0x9000, 8); got != 200 {
 		t.Errorf("count = %d, want 200", got)
 	}
+}
+
+// TestParkedCompletionEvents drives completion events past the ring
+// horizon. A memory latency above eventRing parks each DRAM fill in the
+// ring's last bucket, and complete must reschedule it rather than fire it
+// early. Two MSHRs queue the misses, so later fills land more than two
+// rings out and park twice. The cycle count and CPI stack are pinned, so
+// a ring that reorders, drops or delays a parked event fails here.
+func TestParkedCompletionEvents(t *testing.T) {
+	cfg := testConfig()
+	cfg.Cache.MemLatency = 20000
+	cfg.Cache.NumMSHRs = 2
+	if cfg.Cache.MemLatency <= eventRing {
+		t.Fatalf("MemLatency %d does not exceed the %d-bucket ring", cfg.Cache.MemLatency, eventRing)
+	}
+	const n = 64
+	m := mem.New()
+	m.WriteUint64s(0x10000, randomArray(n, 100, 7))
+	// Pinned from the earlier slice-per-bucket ring, which the node pool
+	// must match exactly.
+	const wantCycles, wantRetired = 160135, 513
+	wantCPI := [stats.NumCPIBuckets]uint64{
+		stats.CPIRetiring:      270,
+		stats.CPIFetchStall:    9,
+		stats.CPIRecoverNoData: 9,
+		stats.CPIRecoverL1:     264,
+		stats.CPIRecoverMEM:    22,
+		stats.CPIMemL1:         35,
+		stats.CPIMemDRAM:       159376,
+		stats.CPIBackend:       150,
+	}
+	// Idle skip finds a parked event in the ring's last bucket; stepping
+	// every cycle must reach the same result.
+	for _, opts := range [][]Option{nil, {WithoutIdleSkip()}} {
+		core := runBoth(t, cfg, condLoop(0x10000, 0x80000, n, 50), m, opts...)
+		if core.Stats.Cycles != wantCycles || core.Stats.Retired != wantRetired {
+			t.Errorf("cycles %d, retired %d; want %d, %d", core.Stats.Cycles, core.Stats.Retired, wantCycles, wantRetired)
+		}
+		if core.Stats.CPI.Buckets != wantCPI {
+			t.Errorf("CPI buckets %v, want %v", core.Stats.CPI.Buckets, wantCPI)
+		}
+	}
+}
+
+// TestSmallestValidConfigRuns sets every field config.Validate bounds
+// below to its smallest accepted value at once: one port of each class,
+// one-cycle latencies everywhere, direct-mapped caches of 8-byte lines
+// with one MSHR, a one-set direct-mapped BTB and a one-entry RAS. Such a
+// core must still match the emulator, not panic or deadlock.
+func TestSmallestValidConfigRuns(t *testing.T) {
+	cfg := testConfig()
+	cfg.ALUPorts, cfg.MemPorts, cfg.BrPorts = 1, 1, 1
+	cfg.MulLatency, cfg.DivLatency = 1, 1
+	cfg.BTBLogSets, cfg.BTBWays, cfg.RASDepth = 0, 1, 1
+	cfg.Cache.LineBytes, cfg.Cache.NumMSHRs, cfg.Cache.MemLatency = 8, 1, 1
+	for _, l := range []*cache.LevelConfig{&cfg.Cache.L1, &cfg.Cache.L2, &cfg.Cache.L3} {
+		l.Ways, l.Latency = 1, 1
+	}
+	if err := cfg.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	const n = 100 // within BQ size: cfdLoop pushes every predicate first
+	m := mem.New()
+	m.WriteUint64s(0x10000, randomArray(n, 100, 23))
+	runBoth(t, cfg, condLoop(0x10000, 0x80000, n, 50), m)
+	runBoth(t, cfg, cfdLoop(0x10000, 0x80000, n, 50), m)
+
+	b := prog.NewBuilder()
+	b.Li(9, 3)
+	b.Li(10, 5)
+	b.Label("loop")
+	b.Jal(31, "fn")
+	b.I(isa.ADDI, 10, 10, -1)
+	b.Branch(isa.BNE, 10, 0, "loop")
+	b.Li(30, 0x9000)
+	b.Store(isa.SD, 9, 30, 0)
+	b.Halt()
+	b.Label("fn")
+	b.R(isa.MUL, 9, 9, 9)
+	b.R(isa.DIV, 9, 9, 10)
+	b.Jr(31)
+	runBoth(t, cfg, b.MustBuild(), nil)
 }

@@ -18,12 +18,17 @@ type BTB struct {
 	clock uint64
 }
 
+// btbEntry is one BTB way. A zero tag marks it invalid: btbTag sets the
+// top bit of every real tag, which keeps an entry at 24 bytes.
 type btbEntry struct {
-	valid  bool
 	tag    uint64
 	target uint64
 	lru    uint64
 }
+
+// btbTag returns the tag pc is stored under, with the top bit set so that
+// no tag is zero.
+func btbTag(pc uint64) uint64 { return pc>>1 | 1<<63 }
 
 // NewBTB returns a BTB with 2^logSets sets of the given associativity.
 func NewBTB(logSets, ways int) *BTB {
@@ -43,9 +48,9 @@ func (b *BTB) set(pc uint64) []btbEntry {
 // Lookup returns the cached taken-target for pc.
 func (b *BTB) Lookup(pc uint64) (target uint64, hit bool) {
 	set := b.set(pc)
-	tag := pc >> 1
+	tag := btbTag(pc)
 	for i := range set {
-		if set[i].valid && set[i].tag == tag {
+		if set[i].tag == tag {
 			b.clock++
 			set[i].lru = b.clock
 			b.hits++
@@ -59,14 +64,10 @@ func (b *BTB) Lookup(pc uint64) (target uint64, hit bool) {
 // Insert records pc's taken-target, replacing the LRU way on conflict.
 func (b *BTB) Insert(pc, target uint64) {
 	set := b.set(pc)
-	tag := pc >> 1
+	tag := btbTag(pc)
 	victim := 0
 	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			victim = i
-			break
-		}
-		if !set[i].valid {
+		if set[i].tag == tag || set[i].tag == 0 {
 			victim = i
 			break
 		}
@@ -75,7 +76,7 @@ func (b *BTB) Insert(pc, target uint64) {
 		}
 	}
 	b.clock++
-	set[victim] = btbEntry{valid: true, tag: tag, target: target, lru: b.clock}
+	set[victim] = btbEntry{tag: tag, target: target, lru: b.clock}
 }
 
 // Stats returns hit and miss counts.

@@ -146,3 +146,30 @@ func TestBQFullStallHappensAndResolves(t *testing.T) {
 		t.Error("expected BQ-full fetch stalls with back-to-back full chunks")
 	}
 }
+
+// TestSameCycleCompletionOrder pins a run whose completion events share
+// cycles: on tifflike/cfd, late BQ pushes and mispredicted branches
+// resolve together, and handling a cycle's events in any order but the
+// one they were scheduled in changes how many recoveries the run takes.
+func TestSameCycleCompletionOrder(t *testing.T) {
+	s, ok := ByName("tifflike")
+	if !ok {
+		t.Fatal("workload tifflike missing")
+	}
+	p, m, err := s.Build(CFD, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := pipeline.New(config.SandyBridge(), p, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	st := c.Stats
+	got := [5]uint64{st.Cycles, st.Retired, st.Fetched, st.Recoveries, st.RetireRecoveries}
+	if want := [5]uint64{1897, 1444, 3292, 18, 1}; got != want {
+		t.Errorf("cycles, retired, fetched, recoveries, retire-time recoveries = %v, want %v", got, want)
+	}
+}
