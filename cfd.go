@@ -121,21 +121,16 @@ func Emulate(p *Program, m *Memory, limit uint64) (*Machine, error) {
 // golden architectural model — and returns an error describing the first
 // divergence in retired-instruction count, architectural registers, or
 // final memory (nil if the two agree). m may be nil; it is cloned for both
-// runs. This is the differential-verification primitive behind the
-// harness's Verify mode and cfdbench/cfdsim -verify.
+// runs and never written. The run goes through harness.RunProgram, the
+// same run-and-verify path as the harness's Verify mode and cfdsim
+// -verify, so errors carry its wording with the program named
+// custom/program.
 func CrossCheck(cfg CoreConfig, p *Program, m *Memory) error {
 	if m == nil {
 		m = mem.New()
 	}
-	core, err := pipeline.New(cfg, p, m.Clone())
-	if err != nil {
-		return err
-	}
-	if err := core.Run(0); err != nil {
-		return fmt.Errorf("cfd: pipeline run: %w", err)
-	}
-	return emu.VerifyArch(p, m.Clone(), core.ArchRegs(), core.Mem(), core.Stats.Retired,
-		emu.WithQueueSizes(cfg.BQSize, cfg.VQSize, cfg.TQSize))
+	_, _, err := harness.RunProgram(RunSpec{Workload: "custom", Variant: "program", Config: cfg}, p, m, true)
+	return err
 }
 
 // NewCore builds a cycle-level core for a custom program.
@@ -163,11 +158,8 @@ func Simulate(name string, v Variant, cfg CoreConfig, n int64) (*Core, error) {
 	if err != nil {
 		return nil, err
 	}
-	core, err := pipeline.New(cfg, p, m)
+	_, core, err := harness.RunProgram(RunSpec{Workload: name, Variant: v, Config: cfg}, p, m, false)
 	if err != nil {
-		return nil, err
-	}
-	if err := core.Run(0); err != nil {
 		return nil, err
 	}
 	return core, nil

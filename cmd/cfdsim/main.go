@@ -17,6 +17,10 @@
 // accept/reject verdict with the rejection reason. Workloads without a
 // kernel form (the classification-study set) are listed as hand-built.
 //
+// -branches lists every retired conditional branch, most mispredicts first
+// (ties by ascending PC), with the class the transform pass recorded for
+// the hard branches it annotated.
+//
 // -sample-every N attaches an interval sampler: IPC, MPKI, stall fractions,
 // and BQ/VQ/TQ occupancy are recorded every N cycles, full-run occupancy
 // histograms are printed, and the -json document carries the series under
@@ -31,8 +35,12 @@
 // -max-cycles and -deadline arm a watchdog on the simulation: when the
 // cycle budget or wall-clock deadline expires, the run stops with a typed
 // watchdog fault and a machine-state dump instead of hanging. A run that
-// ends in a fault still writes the -json document, with the fault recorded
-// in its faults section.
+// ends in a fault, or fails -verify, still writes the -json document, with
+// the fault recorded in its faults section.
+//
+// The run itself goes through harness.RunProgram, the code behind every
+// Runner simulation, so its Result, verification and error wording are the
+// Runner's.
 //
 // -inject runs a seeded fault-injection campaign instead of a simulation:
 // N corruptions of live architectural queue state and save/restore images,
@@ -54,15 +62,14 @@
 package main
 
 import (
+	"cmp"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"sort"
+	"slices"
 
 	"cfd/internal/config"
-	"cfd/internal/emu"
-	"cfd/internal/energy"
 	"cfd/internal/export"
 	"cfd/internal/fault"
 	"cfd/internal/faultinject"
@@ -112,17 +119,17 @@ func occupancyChart(title string, q obs.QueueOccupancy) string {
 
 func main() {
 	var (
-		name     = flag.String("workload", "soplexlike", "workload name (see -list)")
-		variant  = flag.String("variant", "base", "variant: base, cfd, cfd+, dfd, cfd+dfd, cfdtq, cfdbq, cfdbqtq")
-		n        = flag.Int64("n", 0, "input size in work items (0 = workload default)")
-		window   = flag.Int("window", 168, "ROB size (168 = paper baseline; larger windows scale IQ/LQ/SQ)")
-		depth    = flag.Int("depth", 10, "minimum fetch-to-execute latency in cycles")
-		bqmiss   = flag.String("bqmiss", "spec", "BQ miss policy: spec (speculative pop) or stall")
-		list     = flag.Bool("list", false, "list workloads and variants")
-		classify = flag.Bool("classify", false, "print each kernel's separability class and per-transform accept/reject reasons")
-		dumpAsm  = flag.Bool("dump-asm", false, "print the program disassembly and exit")
-		branches = flag.Bool("branches", false, "print per-static-branch statistics")
-		pipeview = flag.Int("pipeview", 0, "trace N instructions and print a pipeline diagram")
+		name        = flag.String("workload", "soplexlike", "workload name (see -list)")
+		variant     = flag.String("variant", "base", "variant: base, cfd, cfd+, dfd, cfd+dfd, cfdtq, cfdbq, cfdbqtq")
+		n           = flag.Int64("n", 0, "input size in work items (0 = workload default)")
+		window      = flag.Int("window", 168, "ROB size (168 = paper baseline; larger windows scale IQ/LQ/SQ)")
+		depth       = flag.Int("depth", 10, "minimum fetch-to-execute latency in cycles")
+		bqmiss      = flag.String("bqmiss", "spec", "BQ miss policy: spec (speculative pop) or stall")
+		list        = flag.Bool("list", false, "list workloads and variants")
+		classify    = flag.Bool("classify", false, "print each kernel's separability class and per-transform accept/reject reasons")
+		dumpAsm     = flag.Bool("dump-asm", false, "print the program disassembly and exit")
+		branches    = flag.Bool("branches", false, "print per-static-branch statistics")
+		pipeview    = flag.Int("pipeview", 0, "trace N instructions and print a pipeline diagram")
 		verify      = flag.Bool("verify", false, "cross-check the retired state against the functional emulator")
 		jsonPath    = flag.String("json", "", "write the run's counters, CPI stack, and energy as JSON to this path ('-' = stdout)")
 		journalPath = flag.String("journal", "", "write a structured JSONL event journal of the run to this path")
@@ -195,48 +202,48 @@ func main() {
 	case *pipeview > 0:
 		popts = append(popts, pipeline.WithTrace(*pipeview))
 	}
-	if *sampleEvery > 0 {
-		popts = append(popts, pipeline.WithObserver(
-			obs.NewObserver(*sampleEvery, cfg.BQSize, cfg.VQSize, cfg.TQSize)))
-	}
 	if *maxCycles > 0 || *deadline > 0 {
 		popts = append(popts, pipeline.WithWatchdog(fault.WithTimeout(*maxCycles, *deadline)))
 	}
-	var init = m
-	if *verify {
-		init = m.Clone()
-	}
-	core, err := pipeline.New(cfg, p, m, popts...)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	if err := core.Run(0); err != nil {
-		// A faulting run still produces the JSON document, with the
-		// failure recorded as a structured fault.
+	spec := harness.RunSpec{Workload: s.Name, Variant: workload.Variant(*variant),
+		Config: cfg, SampleEvery: *sampleEvery}
+	res, core, err := harness.RunProgram(spec, p, m, *verify, popts...)
+	// writeOutputs writes the -json document (the run, or the fault that
+	// ended it), the -trace-out capture and the -journal record.
+	writeOutputs := func() error {
 		if *jsonPath != "" {
-			spec := harness.RunSpec{Workload: s.Name, Variant: workload.Variant(*variant), Config: cfg}
 			doc := &export.Document{
 				Schema: export.Schema, Version: export.Version, Tool: "cfdsim",
 				Scale: 1, Verify: *verify,
-				Faults: []export.FaultRecord{export.FromFailure(harness.Failure{Spec: spec, Err: err})},
+			}
+			if err != nil {
+				doc.Faults = []export.FaultRecord{export.FromFailure(harness.Failure{Spec: spec, Err: err})}
+			} else {
+				doc.Runs = []export.Run{export.FromResult(res)}
 			}
 			if werr := export.WriteFile(*jsonPath, doc); werr != nil {
-				fmt.Fprintf(os.Stderr, "cfdsim: %v\n", werr)
+				return werr
 			}
 		}
 		// A faulted run's partial trace is still written: the last traced
 		// instructions usually show what wedged.
-		if *traceOut != "" {
-			core.FinishObservation()
+		if *traceOut != "" && core != nil {
 			if werr := core.PerfettoTrace().WriteFile(*traceOut); werr != nil {
-				fmt.Fprintf(os.Stderr, "cfdsim: %v\n", werr)
+				return werr
 			}
 		}
 		if *journalPath != "" {
-			spec := harness.RunSpec{Workload: s.Name, Variant: workload.Variant(*variant), Config: cfg}
-			if werr := writeRunJournal(*journalPath, spec, nil, err); werr != nil {
-				fmt.Fprintf(os.Stderr, "cfdsim: %v\n", werr)
+			var st *pipeline.Stats
+			if res != nil {
+				st = &res.Stats
 			}
+			return writeRunJournal(*journalPath, spec, st, err)
+		}
+		return nil
+	}
+	if err != nil {
+		if werr := writeOutputs(); werr != nil {
+			fmt.Fprintf(os.Stderr, "cfdsim: %v\n", werr)
 		}
 		if f, ok := fault.As(err); ok {
 			fmt.Fprint(os.Stderr, f.Dump())
@@ -244,16 +251,11 @@ func main() {
 		}
 		fatalf("%v", err)
 	}
-	core.FinishObservation()
 	if *verify {
-		if err := emu.VerifyArch(p, init, core.ArchRegs(), core.Mem(), core.Stats.Retired,
-			emu.WithQueueSizes(cfg.BQSize, cfg.VQSize, cfg.TQSize)); err != nil {
-			fatalf("differential verification failed: %v", err)
-		}
 		fmt.Println("verify          OK (retired state matches the functional emulator)")
 	}
 
-	st := core.Stats
+	st := res.Stats
 	fmt.Printf("workload        %s/%s (n=%d) on %s\n", s.Name, *variant, size, cfg.Name)
 	fmt.Printf("cycles          %d\n", st.Cycles)
 	fmt.Printf("retired         %d (IPC %.3f)\n", st.Retired, st.IPC())
@@ -269,7 +271,7 @@ func main() {
 		st.MispredByLevel[0], st.MispredByLevel[1], st.MispredByLevel[2],
 		st.MispredByLevel[3], st.MispredByLevel[4])
 	fmt.Printf("energy          %.0f pJ total (%.0f dynamic, %.0f queue structures)\n",
-		core.Meter.Total(), core.Meter.Dynamic(), core.Meter.QueueEnergy())
+		res.EnergyTotal, res.EnergyDynamic, res.EnergyQueue)
 
 	fmt.Println()
 	if err := st.CPI.Check(st.Cycles); err != nil {
@@ -279,69 +281,24 @@ func main() {
 
 	if o := core.Observer(); o != nil {
 		fmt.Printf("telemetry       %d samples every %d cycles\n\n", len(o.Samples), o.Every)
-		if occ := o.Occupancy(); occ != nil {
+		if occ := res.Occupancy; occ != nil {
 			fmt.Print(occupancyChart("BQ occupancy", occ.BQ))
 			fmt.Print(occupancyChart("VQ occupancy", occ.VQ))
 			fmt.Print(occupancyChart("TQ occupancy", occ.TQ))
 		}
 	}
 
-	if *jsonPath != "" {
-		events := make(map[string]uint64)
-		for e := 0; e < energy.NumEvents; e++ {
-			if n := core.Meter.Counts[e]; n != 0 {
-				events[energy.Event(e).String()] = n
-			}
-		}
-		res := &harness.Result{
-			Spec: harness.RunSpec{Workload: s.Name, Variant: workload.Variant(*variant),
-				Config: cfg, SampleEvery: *sampleEvery},
-			Stats:         st,
-			EnergyTotal:   core.Meter.Total(),
-			EnergyDynamic: core.Meter.Dynamic(),
-			EnergyLeakage: core.Meter.Leakage(),
-			EnergyQueue:   core.Meter.QueueEnergy(),
-			EnergyEvents:  events,
-			MSHRHist:      core.Hierarchy().Hist,
-			Timeseries:    core.Observer().Timeseries(),
-			Occupancy:     core.Observer().Occupancy(),
-		}
-		doc := &export.Document{
-			Schema: export.Schema, Version: export.Version, Tool: "cfdsim",
-			Scale: 1, Verify: *verify,
-			Runs: []export.Run{export.FromResult(res)},
-		}
-		if err := export.WriteFile(*jsonPath, doc); err != nil {
-			fatalf("%v", err)
-		}
-	}
-	if *traceOut != "" {
-		if err := core.PerfettoTrace().WriteFile(*traceOut); err != nil {
-			fatalf("%v", err)
-		}
-	}
-	if *journalPath != "" {
-		spec := harness.RunSpec{Workload: s.Name, Variant: workload.Variant(*variant),
-			Config: cfg, SampleEvery: *sampleEvery}
-		if err := writeRunJournal(*journalPath, spec, &st, nil); err != nil {
-			fatalf("%v", err)
-		}
+	if err := writeOutputs(); err != nil {
+		fatalf("%v", err)
 	}
 
 	if *branches {
 		fmt.Println("\nper-branch statistics (retired):")
-		pcs := make([]uint64, 0, len(st.PerBranch))
-		for pc := range st.PerBranch {
-			pcs = append(pcs, pc)
-		}
-		sort.Slice(pcs, func(i, j int) bool {
-			return st.PerBranch[pcs[i]].Mispredicts > st.PerBranch[pcs[j]].Mispredicts
-		})
-		for _, pc := range pcs {
+		for _, pc := range branchOrder(st.PerBranch) {
 			bs := st.PerBranch[pc]
 			name := p.At(pc).String()
 			if note, ok := p.Notes[pc]; ok {
-				name = note.Name
+				name = fmt.Sprintf("%s [%s]", note.Name, note.Class)
 			}
 			fmt.Printf("  pc %-6d %-40s execs %-9d taken %5.1f%%  missrate %5.2f%%\n",
 				pc, name, bs.Execs,
@@ -353,6 +310,23 @@ func main() {
 		fmt.Println()
 		fmt.Print(core.Pipeview())
 	}
+}
+
+// branchOrder returns the PCs of the per-branch statistics, most
+// mispredicts first and ties by ascending PC, so the listing is the same
+// on every run.
+func branchOrder(per map[uint64]*pipeline.BranchStat) []uint64 {
+	pcs := make([]uint64, 0, len(per))
+	for pc := range per {
+		pcs = append(pcs, pc)
+	}
+	slices.SortFunc(pcs, func(a, b uint64) int {
+		if c := cmp.Compare(per[b].Mispredicts, per[a].Mispredicts); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+	return pcs
 }
 
 // runCampaign executes the seeded fault-injection campaign, prints the

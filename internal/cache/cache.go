@@ -91,8 +91,9 @@ func DefaultConfig() Config {
 
 // Validate reports geometry and latencies the model cannot honour, naming
 // the field. Set and line indices are masks, so the line size and each
-// level's set count must be powers of two; a latency of zero would
-// complete an access in the cycle that issued it.
+// level's set count must be powers of two; a level models sets × ways
+// lines, so those lines must fill its size exactly; a latency of zero
+// would complete an access in the cycle that issued it.
 func (c Config) Validate() error {
 	if c.LineBytes <= 0 || c.LineBytes&(c.LineBytes-1) != 0 {
 		return fmt.Errorf("LineBytes is %d; must be a power of two", c.LineBytes)
@@ -118,6 +119,10 @@ func (c Config) Validate() error {
 			return fmt.Errorf("%s.SizeKB is %d: %d ways of %d bytes give %d sets; the set count must be a power of two",
 				lv.field, l.SizeKB, l.Ways, c.LineBytes, sets)
 		}
+		if modeled := l.sets(c.LineBytes) * l.Ways * c.LineBytes; modeled != l.SizeKB*1024 {
+			return fmt.Errorf("%s.SizeKB is %d: %d ways of %d bytes model only %d bytes; the size must be a whole number of sets",
+				lv.field, l.SizeKB, l.Ways, c.LineBytes, modeled)
+		}
 	}
 	return nil
 }
@@ -133,9 +138,10 @@ type line struct {
 }
 
 // lineTag returns the tag lineAddr is stored under: the full line address
-// shifted right once (its set-index bits are redundant but harmless),
-// with the top bit set so that no tag is zero.
-func lineTag(lineAddr uint64) uint64 { return lineAddr>>1 | 1<<63 }
+// (its set-index bits are redundant but harmless) with the top bit set so
+// that no tag is zero. A line address is a byte address over the line
+// size, so its top bit is always clear and the tag keeps every bit.
+func lineTag(lineAddr uint64) uint64 { return lineAddr | 1<<63 }
 
 type level struct {
 	cfg      LevelConfig

@@ -95,6 +95,30 @@ func TestLRUWithinSet(t *testing.T) {
 	}
 }
 
+// TestOneSetLevelKeepsEveryLine probes a fully associative L1 — one set
+// of 16 ways of 64 bytes — where the set index holds no address bits, so
+// the tag alone must tell neighbouring lines apart.
+func TestOneSetLevelKeepsEveryLine(t *testing.T) {
+	cfg := smallConfig()
+	cfg.L1 = LevelConfig{Name: "L1", SizeKB: 1, Ways: 16, Latency: 4}
+	if err := cfg.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	h := New(cfg)
+	h.Access(0x1000, 0)
+	if _, lvl := h.Access(0x1040, 1000); lvl == L1 {
+		t.Error("0x1040 hit in L1 after only 0x1000 was touched")
+	}
+	for i := uint64(0); i < 16; i++ {
+		h.Access(0x2000+64*i, 2000+1000*i)
+	}
+	for i := uint64(0); i < 16; i++ {
+		if _, lvl := h.Access(0x2000+64*i, 100_000+i); lvl != L1 {
+			t.Errorf("line %#x level = %v, want L1 (16 lines fill the one set)", 0x2000+64*i, lvl)
+		}
+	}
+}
+
 func TestPrefetchWarmsCache(t *testing.T) {
 	h := New(smallConfig())
 	h.Prefetch(0x3000, 0)

@@ -94,6 +94,8 @@ func TestValidateNamesField(t *testing.T) {
 		{"Cache.L1.SizeKB", func(c *Core, v int) { c.Cache.L1.SizeKB = v }, 1, 0},
 		{"Cache.L2.SizeKB", func(c *Core, v int) { c.Cache.L2.SizeKB = v }, 512, 384},
 		{"Cache.L3.SizeKB", func(c *Core, v int) { c.Cache.L3.SizeKB = v }, 64, 48},
+		// 1 KiB of 6 ways gives 2 sets that hold only 768 bytes.
+		{"Cache.L1.SizeKB", func(c *Core, v int) { c.Cache.L1.Ways = 6; c.Cache.L1.SizeKB = v }, 3, 1},
 		{"Cache.LineBytes", func(c *Core, v int) { c.Cache.LineBytes = v }, 32, 48},
 		{"Cache.NumMSHRs", func(c *Core, v int) { c.Cache.NumMSHRs = v }, 1, 0},
 		{"Cache.L1.Latency", func(c *Core, v int) { c.Cache.L1.Latency = uint64(v) }, 1, 0},

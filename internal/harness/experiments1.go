@@ -142,7 +142,7 @@ func init() {
 		ID:    "fig6",
 		Title: "Fig 6: control-flow classification study (MPKI-weighted)",
 		Run: func(r *Runner, w io.Writer) error {
-			st, err := classify.Run(r.Scale)
+			st, err := r.classification()
 			if err != nil {
 				return err
 			}
@@ -180,7 +180,7 @@ func init() {
 		ID:    "table1",
 		Title: "Table I: targeted workloads and their MPKI",
 		Run: func(r *Runner, w io.Writer) error {
-			st, err := classify.Run(r.Scale)
+			st, err := r.classification()
 			if err != nil {
 				return err
 			}
@@ -336,4 +336,11 @@ func tableCodeDetails(v workload.Variant) func(r *Runner, w io.Writer) error {
 		_, err := fmt.Fprintln(w, t)
 		return err
 	}
+}
+
+// classification returns the §II classification study at the Runner's
+// Scale, running it on first use.
+func (r *Runner) classification() (*classify.Study, error) {
+	r.classOnce.Do(func() { r.classStudy, r.classErr = classify.Run(r.Scale) })
+	return r.classStudy, r.classErr
 }

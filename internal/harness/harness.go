@@ -23,15 +23,16 @@ import (
 	"sync/atomic"
 	"time"
 
-	"cfd/internal/energy"
-
+	"cfd/internal/classify"
 	"cfd/internal/emu"
+	"cfd/internal/energy"
 	"cfd/internal/fault"
 	"cfd/internal/manifest"
 	"cfd/internal/mem"
 	"cfd/internal/obs"
 	"cfd/internal/obs/journal"
 	"cfd/internal/pipeline"
+	"cfd/internal/prog"
 	"cfd/internal/store"
 	"cfd/internal/workload"
 )
@@ -111,6 +112,11 @@ type Runner struct {
 	// memories, one per distinct content per workload and size (build.go).
 	builds  map[buildKey]*built
 	masters map[masterKey][]*mem.Memory
+	// classOnce runs the §II classification study, which fig6 and table1
+	// both read, once per Runner (experiments1.go).
+	classOnce  sync.Once
+	classStudy *classify.Study
+	classErr   error
 
 	sweepSeq atomic.Uint64
 
@@ -351,11 +357,7 @@ func (r *Runner) watchdog() *fault.Watchdog {
 	if r.MaxCycles == 0 && r.RunTimeout == 0 {
 		return nil
 	}
-	w := &fault.Watchdog{MaxCycles: r.MaxCycles}
-	if r.RunTimeout > 0 {
-		w.Deadline = time.Now().Add(r.RunTimeout)
-	}
-	return w
+	return fault.WithTimeout(r.MaxCycles, r.RunTimeout)
 }
 
 // Test hooks: set before any goroutines start and restored after they
@@ -424,10 +426,21 @@ func (r *Runner) simulate(rs RunSpec) (res *Result, err error) {
 			opts = append(opts, pipeline.WithPerfectBP())
 		}
 	}
-	var init *mem.Memory
-	if r.Verify {
-		init = b.master.Clone()
-	}
+	res, _, err = RunProgram(rs, p, b.master, r.Verify, opts...)
+	return res, err
+}
+
+// RunProgram runs p from the initial memory m on a core built from
+// rs.Config and summarises the run as rs's Result. It is the one
+// run-and-summarise path: the Runner calls it for every simulation, and
+// single-run tools call it with their own program and options. m is
+// cloned for the core (and again for verification) and never written.
+// An observer is attached when rs.SampleEvery is set. With verify, the
+// retired state is cross-checked against the functional emulator and any
+// divergence fails the run. The core is returned whenever it was built,
+// even when the run or the verification failed, so callers can still
+// render its trace or pipeline diagram.
+func RunProgram(rs RunSpec, p *prog.Program, m *mem.Memory, verify bool, opts ...pipeline.Option) (*Result, *pipeline.Core, error) {
 	cfg := rs.Config
 	cfg.Cache.SampleMSHRs = rs.SampleMSHR
 	var obsv *obs.Observer
@@ -435,18 +448,19 @@ func (r *Runner) simulate(rs RunSpec) (res *Result, err error) {
 		obsv = obs.NewObserver(rs.SampleEvery, cfg.BQSize, cfg.VQSize, cfg.TQSize)
 		opts = append(opts, pipeline.WithObserver(obsv))
 	}
-	core, err := pipeline.New(cfg, p, b.master.Clone(), opts...)
+	core, err := pipeline.New(cfg, p, m.Clone(), opts...)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	if err := core.Run(0); err != nil {
-		return nil, fmt.Errorf("harness: %s/%s on %s: %w", rs.Workload, rs.Variant, cfg.Name, err)
-	}
+	err = core.Run(0)
 	core.FinishObservation()
-	if r.Verify {
-		if err := emu.VerifyArch(p, init, core.ArchRegs(), core.Mem(), core.Stats.Retired,
+	if err != nil {
+		return nil, core, fmt.Errorf("harness: %s/%s on %s: %w", rs.Workload, rs.Variant, cfg.Name, err)
+	}
+	if verify {
+		if err := emu.VerifyArch(p, m.Clone(), core.ArchRegs(), core.Mem(), core.Stats.Retired,
 			emu.WithQueueSizes(cfg.BQSize, cfg.VQSize, cfg.TQSize)); err != nil {
-			return nil, fmt.Errorf("harness: differential verification of %s/%s on %s: %w",
+			return nil, core, fmt.Errorf("harness: differential verification of %s/%s on %s: %w",
 				rs.Workload, rs.Variant, cfg.Name, err)
 		}
 	}
@@ -467,7 +481,7 @@ func (r *Runner) simulate(rs RunSpec) (res *Result, err error) {
 		MSHRHist:      core.Hierarchy().Hist,
 		Timeseries:    obsv.Timeseries(),
 		Occupancy:     obsv.Occupancy(),
-	}, nil
+	}, core, nil
 }
 
 // runFault wraps a panic contained during rs's run as that spec's error.

@@ -26,9 +26,9 @@ type btbEntry struct {
 	lru    uint64
 }
 
-// btbTag returns the tag pc is stored under, with the top bit set so that
-// no tag is zero.
-func btbTag(pc uint64) uint64 { return pc>>1 | 1<<63 }
+// btbTag returns the tag pc is stored under: the full PC (an instruction
+// index, far below 2^63) with the top bit set so that no tag is zero.
+func btbTag(pc uint64) uint64 { return pc | 1<<63 }
 
 // NewBTB returns a BTB with 2^logSets sets of the given associativity.
 func NewBTB(logSets, ways int) *BTB {

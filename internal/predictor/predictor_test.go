@@ -201,6 +201,23 @@ func TestBTBInsertLookupAndLRU(t *testing.T) {
 	}
 }
 
+// TestBTBOneSetKeepsEveryPC probes BTBLogSets = 0: with a single set the
+// tag alone must tell neighbouring PCs apart.
+func TestBTBOneSetKeepsEveryPC(t *testing.T) {
+	b := NewBTB(0, 4)
+	b.Insert(0x10, 0x100)
+	if _, hit := b.Lookup(0x11); hit {
+		t.Error("pc 0x11 hit after only 0x10 was inserted")
+	}
+	b.Insert(0x11, 0x200)
+	if tgt, hit := b.Lookup(0x10); !hit || tgt != 0x100 {
+		t.Errorf("pc 0x10 = %#x,%v, want 0x100,true", tgt, hit)
+	}
+	if tgt, hit := b.Lookup(0x11); !hit || tgt != 0x200 {
+		t.Errorf("pc 0x11 = %#x,%v, want 0x200,true", tgt, hit)
+	}
+}
+
 func TestBTBUpdateExistingEntry(t *testing.T) {
 	b := NewBTB(4, 2)
 	b.Insert(0x20, 0x111)
